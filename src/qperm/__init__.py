@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
-    ConventionUnresolved,
     DegenerateParameter,
     MalformedMatrix,
     MethodDisagreement,
@@ -54,7 +53,6 @@ from .partitions import (
 from .hadamard import (
     EnumerationResult,
     Hadamard,
-    HadamardCandidate,
     bjorck_froberg,
     butson_enumerate,
     catalog_names,

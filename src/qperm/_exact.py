@@ -332,7 +332,6 @@ def _max_safe_prime(ncols):
 def _eval_vectors_mod(vectors, p, r, level):
     """Evaluate integer cyclo vectors (n, ncols, level) at zeta -> r mod p."""
     pows = np.array([pow(r, j, p) for j in range(level)], dtype=np.float64)
-    out = np.zeros(vectors.shape[:2])
     # vectors entries can exceed the float53 product bound only for wild
     # lifts; reduce coefficients mod p first with python ints if needed
     maxabs = int(np.abs(vectors).max()) if vectors.size else 0

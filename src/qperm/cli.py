@@ -5,7 +5,8 @@ tool version, an echo of the request, the result payload, warnings and
 method tags, plus a timing field that is excluded from determinism
 guarantees.  Exit code 0 means the computation ran (negative mathematical
 verdicts such as "obstructed" or "not Hadamard" are still successes),
-1 means a domain error, 2 a usage error.
+1 means the library refused a parsed request (an error envelope, in the
+requested format), 2 a usage error (stderr only).
 """
 
 from __future__ import annotations
@@ -153,6 +154,14 @@ def _family(tok):
         return PartitionFamily[tok.upper().replace("-", "_")]
     except KeyError:
         raise UsageError(f"unknown partition family {tok!r}") from None
+
+
+def _count(tok):
+    """argparse type for a nonnegative integer (orders, sample counts)."""
+    if not _INT_RE.match(tok) or int(tok) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {tok!r}")
+    return int(tok)
 
 
 def _fraction_arg(tok):
@@ -623,12 +632,12 @@ def build_parser():
         matrix=True, tol=1e-9)
     sp = new("invariants", _cmd_invariants, "quantum invariants c_0..c_k",
              matrix=True, tol=1e-9)
-    sp.add_argument("--kmax", type=int, required=True)
+    sp.add_argument("--kmax", type=_count, required=True)
     sp.add_argument("--method", choices=("both", "direct", "g_tensor"),
                     default="both")
     sp = new("poincare", _cmd_poincare, "Poincare series coefficients",
              matrix=True, tol=1e-9)
-    sp.add_argument("--kmax", type=int, required=True)
+    sp.add_argument("--kmax", type=_count, required=True)
     sp.add_argument("--method", choices=("both", "direct", "g_tensor"),
                     default="both")
     new("commutative", _cmd_commutative,
@@ -637,39 +646,39 @@ def build_parser():
              "partition Gram determinant, formula vs exact")
     sp.add_argument("--family", choices=("all", "noncrossing"),
                     required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_count, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp = new("char-moments", _cmd_char_moments,
              "character moments, optionally truncated")
     sp.add_argument("--family", choices=("all", "noncrossing"),
                     required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--kmax", type=int, required=True)
+    sp.add_argument("--kmax", type=_count, required=True)
     sp.add_argument("--t", help="truncation ratio as p/q")
     sp = new("weingarten", _cmd_weingarten,
              "partition Gram and Weingarten matrices")
     sp.add_argument("--family",
                     choices=("all", "noncrossing", "even_noncrossing"),
                     required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_count, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp = new("free-bessel", _cmd_free_bessel,
              "even moments of the free Bessel law")
-    sp.add_argument("--kmax", type=int, required=True)
+    sp.add_argument("--kmax", type=_count, required=True)
     sp.add_argument("--t", default="1", help="parameter as p/q")
     sp = new("free-hg", _cmd_free_hg,
              "free hypergeometric moments, formula vs oracle")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_count, required=True)
     sp.add_argument("--m", type=int)
     sp.add_argument("--N", type=int)
     sp = new("pauli-check", _cmd_pauli_check,
              "sampled magic residuals of the spin model", tol=1e-12)
-    sp.add_argument("--samples", type=int, required=True)
+    sp.add_argument("--samples", type=_count, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp = new("klein-check", _cmd_klein_check,
              "twisted orthogonal relations of sampled magics", tol=1e-10)
-    sp.add_argument("--samples", type=int, required=True)
+    sp.add_argument("--samples", type=_count, required=True)
     sp.add_argument("--seed", type=int, required=True)
     new("one-norm", _cmd_one_norm, "entrywise 1-norm of H/sqrt(n)",
         matrix=True, tol=1e-10)
@@ -678,8 +687,8 @@ def build_parser():
     sp.add_argument("--group", choices=("ORTHOGONAL", "UNITARY"),
                     required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--samples", type=int, required=True)
+    sp.add_argument("--k", type=_count, required=True)
+    sp.add_argument("--samples", type=_count, required=True)
     sp.add_argument("--seed", type=int, required=True)
     return p
 
@@ -694,30 +703,31 @@ def run(argv=None):
     started = time.perf_counter()
     try:
         payload, warnings, tags = args.func(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"qperm: usage error: {exc}", file=sys.stderr)
         return 2
-    except QpermError as exc:
+    except (QpermError, ValueError) as exc:
         envelope = {
             "command": _echo(args),
             "error": {"message": str(exc), "type": type(exc).__name__},
             "tool": "qperm " + __version__,
         }
-        sys.stdout.buffer.write(emit_json(envelope))
-        return 1
-    envelope = {
-        "command": _echo(args),
-        "method_tags": list(tags),
-        "payload": payload,
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
-        "tool": "qperm " + __version__,
-        "warnings": list(warnings),
-    }
+        code = 1
+    else:
+        envelope = {
+            "command": _echo(args),
+            "method_tags": list(tags),
+            "payload": payload,
+            "timing": {"seconds": round(time.perf_counter() - started, 6)},
+            "tool": "qperm " + __version__,
+            "warnings": list(warnings),
+        }
+        code = 0
     if args.format == "text":
         print("\n".join(_emit_text(envelope)))
     else:
         sys.stdout.buffer.write(emit_json(envelope))
-    return 0
+    return code
 
 
 def main():

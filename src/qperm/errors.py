@@ -29,10 +29,6 @@ class SingularGram(QpermError):
     """Gram matrix is singular; Weingarten integration refuses."""
 
 
-class ConventionUnresolved(QpermError):
-    """No candidate exponent convention matches the exact determinants."""
-
-
 class BudgetExceeded(QpermError):
     """A configured node or memory budget was exhausted."""
 

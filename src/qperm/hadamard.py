@@ -40,10 +40,6 @@ LEVEL_INFINITE = math.inf
 _FINGERPRINT_DIGITS = 6
 
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
 # ---------------------------------------------------------------------------
 # the matrix type
 # ---------------------------------------------------------------------------
@@ -121,17 +117,7 @@ class Hadamard:
 
     def verify(self, tol=DEFAULT_TOL):
         """True iff all distinct row pairs are orthogonal."""
-        if self.is_exact:
-            table = _root_reduction_table(self.level)
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    d = (self.exponents[i] - self.exponents[j]) % self.level
-                    if table[d].sum(axis=0).any():
-                        return False
-            return True
-        gram = self.entries @ self.entries.conj().T
-        np.fill_diagonal(gram, 0)
-        return bool(np.all(np.abs(gram) <= self.n * tol))
+        return self.failing_pair(tol) is None
 
     def failing_pair(self, tol=DEFAULT_TOL):
         """First non-orthogonal row pair, or None."""
@@ -152,9 +138,6 @@ class Hadamard:
         form = f"level={self.level}" if self.is_exact else "complex"
         tag = f", {self.provenance}" if self.provenance else ""
         return f"Hadamard(n={self.n}, {form}{tag})"
-
-
-HadamardCandidate = Hadamard
 
 
 def _root_reduction_table(level):
@@ -240,7 +223,7 @@ def dita(h, k, l_params):
         if all(kd[0] == "exact" for kd in kinds):
             den = 1
             for kd in kinds:
-                den = _lcm(den, kd[2])
+                den = math.lcm(den, kd[2])
             exps = np.array(
                 [kd[1] * (den // kd[2]) for kd in kinds], dtype=np.int64
             ).reshape(m, n)
@@ -254,7 +237,7 @@ def dita(h, k, l_params):
     label = f"dita({h.provenance or 'H'},{k.provenance or 'K'})"
     if h.is_exact and k.is_exact and exact_l is not None:
         l_exp, l_lev = exact_l
-        lev = _lcm(_lcm(h.level, k.level), l_lev)
+        lev = math.lcm(h.level, k.level, l_lev)
         he = h.exponents * (lev // h.level)
         ke = k.exponents * (lev // k.level)
         le = l_exp * (lev // l_lev)
@@ -286,11 +269,6 @@ def dita_fourier_params(n, m):
             for a in range(m)]
 
 
-def _exact_entry_grid(rows, level):
-    """Helper: entries given as (coefficient list over powers) -> Hadamard."""
-    return Hadamard(exponents=np.array(rows, dtype=np.int64), level=level)
-
-
 def tao():
     """The 6x6 level-3 matrix with index-symmetric block pattern."""
     j = 1
@@ -320,7 +298,7 @@ def haagerup(q):
     ]
     if kind[0] == "exact":
         num, den = kind[1], kind[2]
-        lev = _lcm(4, den)
+        lev = math.lcm(4, den)
         qe = num * (lev // den)
         exps = [[(0 if s > 0 else lev // 2)
                  + ip * (lev // 4) + qp * qe
@@ -347,7 +325,7 @@ def petrescu(q):
     ]
     if kind[0] == "exact":
         num, den = kind[1], kind[2]
-        lev = _lcm(6, den)
+        lev = math.lcm(6, den)
         qe = num * (lev // den)
         exps = [[wp * (lev // 6) + qp * qe for (wp, qp) in row] for row in P]
         return Hadamard(exponents=np.array(exps) % lev, level=lev,
@@ -450,7 +428,7 @@ def level(h, tol=DEFAULT_TOL, max_level=256):
                        math.sin(2 * math.pi * float(frac)))
         if abs(z - root) > tol:
             return LEVEL_INFINITE
-        total = _lcm(total, frac.denominator)
+        total = math.lcm(total, frac.denominator)
         if total > max_level:
             return LEVEL_INFINITE
     return max(total, 2)
@@ -720,7 +698,7 @@ def equivalent(h, k, max_order=8):
         lh, lk = h.reduced_level(), k.reduced_level()
         if lh != lk:
             return False  # the dephased level is an equivalence invariant
-        common = _lcm(h.level, k.level)
+        common = math.lcm(h.level, k.level)
         hh = h.with_level(common)
         kk = k.with_level(common)
     else:
@@ -1001,12 +979,12 @@ class CellSummary:
     rule: str | None = None
 
 
-def _witness_expr(n, lev, _cache=None):
+def _catalog_witness(n, lev, _cache=None):
     """Search the constructive catalog for a member of H_n(l).
 
     Generators: Fourier F_n for n | l, the three named 6x6/7x7 matrices at
     root-of-unity parameters, and tensor products of smaller witnesses.
-    Returns a human-readable expression or None.
+    Returns (human-readable expression, matrix) or None.
     """
     if _cache is None:
         _cache = {}
@@ -1015,40 +993,26 @@ def _witness_expr(n, lev, _cache=None):
         return _cache[key]
     result = None
     if n == 1:
-        result = "[1]"
-    elif lev % n == 0 if n > 1 else False:
-        result = f"fourier({n})"
-    if result is None and n == 6:
-        if lev % 3 == 0:
-            result = "tao()"
-        elif lev % 4 == 0:
-            result = "haagerup(1)"
-    if result is None and n == 7 and lev % 6 == 0:
-        result = "petrescu(1)"
-    if result is None:
+        result = "[1]", Hadamard(exponents=[[0]], level=1)
+    elif lev % n == 0:
+        result = f"fourier({n})", fourier(n)
+    elif n == 6 and lev % 3 == 0:
+        result = "tao()", tao()
+    elif n == 6 and lev % 4 == 0:
+        result = "haagerup(1)", haagerup(1)
+    elif n == 7 and lev % 6 == 0:
+        result = "petrescu(1)", petrescu(1)
+    else:
         for d in range(2, n):
             if n % d == 0:
-                left = _witness_expr(d, lev, _cache)
-                right = _witness_expr(n // d, lev, _cache)
+                left = _catalog_witness(d, lev, _cache)
+                right = _catalog_witness(n // d, lev, _cache)
                 if left and right:
-                    result = f"tensor({left},{right})"
+                    result = (f"tensor({left[0]},{right[0]})",
+                              tensor(left[1], right[1]))
                     break
     _cache[key] = result
     return result
-
-
-def build_witness(expr):
-    """Materialize a witness expression produced by the table search."""
-    env = {
-        "fourier": fourier,
-        "tao": tao,
-        "haagerup": haagerup,
-        "petrescu": petrescu,
-        "tensor": tensor,
-    }
-    if expr == "[1]":
-        return Hadamard(exponents=[[0]], level=1)
-    return eval(expr, {"__builtins__": {}}, env)  # catalog-only expressions
 
 
 def obstruction_table(n_max, l_max):
@@ -1059,9 +1023,9 @@ def obstruction_table(n_max, l_max):
     for n in range(2, n_max + 1):
         row = []
         for lev in range(2, l_max + 1):
-            expr = _witness_expr(n, lev)
-            if expr is not None:
-                w = build_witness(expr)
+            found = _catalog_witness(n, lev)
+            if found is not None:
+                expr, w = found
                 if not w.verify():
                     raise VerifyFailed(f"catalog witness failed at ({n},{lev})")
                 row.append(CellSummary(n, lev, "exists", witness=expr))

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._exact import bareiss_det, fraction_matrix_inverse
-from .errors import ConventionUnresolved, ShapeMismatch, SingularGram
+from .errors import ShapeMismatch, SingularGram
 
 
 class PartitionFamily(Enum):
@@ -273,7 +273,7 @@ def gram_weingarten(family, k, n):
         raise ValueError("n must be positive")
     parts, sizes = _join_sizes(k, family)
     gram = tuple(tuple(n ** s for s in row) for row in sizes)
-    inv = fraction_matrix_inverse([list(r) for r in gram]) if parts else [[]]
+    inv = fraction_matrix_inverse([list(r) for r in gram])
     wg = tuple(tuple(r) for r in inv) if inv is not None else None
     return GramWeingarten(family, k, n, parts, gram, wg)
 
@@ -308,17 +308,6 @@ def integrate_monomial(family, n, i, j):
             if dj[b]:
                 total += row[b]
     return total
-
-
-def permutation_integral_oracle(n, i, j):
-    """Direct average of the monomial over all n! permutation matrices."""
-    if len(i) != len(j):
-        raise ShapeMismatch("index tuples must have equal length")
-    count = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        if all(perm[jj - 1] == ii for ii, jj in zip(i, j)):
-            count += 1
-    return Fraction(count, math.factorial(n))
 
 
 def char_moment(family, n, k):
@@ -406,16 +395,6 @@ def _f_exponent(k, r):
     return _binom(2 * k, k - r) - _binom(2 * k, k - r - 1)
 
 
-# Candidate exponent conventions for the free Gram determinant.  The fitted
-# one is chosen against the exact determinant oracle and cached.
-_FREE_CONVENTIONS = {
-    "f(k,r)-f(k,r+1)": lambda k, r: _f_exponent(k, r) - _f_exponent(k, r + 1),
-    "f(k,r)-f(k+1,r)": lambda k, r: _f_exponent(k, r) - _f_exponent(k + 1, r),
-    "f(k+1,r)-f(k,r)": lambda k, r: _f_exponent(k + 1, r) - _f_exponent(k, r),
-    "f(k,r)": lambda k, r: _f_exponent(k, r),
-}
-
-
 def _sqrt_pair_mul(a, b, n):
     return (a[0] * b[0] + a[1] * b[1] * n, a[0] * b[1] + a[1] * b[0])
 
@@ -442,55 +421,36 @@ def _chebycheff_at_sqrt(r, n):
     return p_cur
 
 
-def _free_det_formula(k, n, conv):
-    value = _sqrt_pair_pow((0, 1), catalan_number(k), n)
-    for r in range(1, k + 1):
-        d = conv(k, r)
-        if d < 0:
-            return None
-        value = _sqrt_pair_mul(value, _sqrt_pair_pow(
-            _chebycheff_at_sqrt(r, n), d, n), n)
-    if value[1] != 0:
-        return None
-    return value[0]
-
-
-@lru_cache(maxsize=None)
-def _fitted_free_convention():
-    """Fit the exponent convention against exact determinants, k<=4."""
-    for name, conv in _FREE_CONVENTIONS.items():
-        ok = True
-        for k in range(1, 5):
-            for n in (4, 5, 9):
-                if _free_det_formula(k, n, conv) != gram_det_exact(
-                    PartitionFamily.NONCROSSING, k, n
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return name
-    raise ConventionUnresolved(
-        "no candidate exponent convention matches the exact free "
-        "Gram determinants"
-    )
-
-
 def free_gram_convention():
-    """Name of the fitted exponent convention (documented in the README)."""
-    return _fitted_free_convention()
+    """Name of the exponent convention of gram_det_free (see the README)."""
+    return "f(k,r)-f(k,r+1)"
 
 
 def gram_det_free(k, n):
-    """Closed form for the noncrossing Gram determinant (n >= 4)."""
+    """Closed form for the noncrossing Gram determinant (k >= 1, n >= 4).
+
+    det = sqrt(n)^C_k * prod_{r=1..k} P_r(sqrt n)^a(k,r), with the
+    Chebyshev recurrence P_0 = 1, P_1 = x, P_{r+1} = x P_r - P_{r-1}.
+    Evaluated exactly in Z[sqrt n]: factors with a negative exponent
+    collect in a denominator, divided out once at the end.  Each P_r is
+    even or odd, so every factor is a pure a or b*sqrt(n); P_r(x) > 0 for
+    x >= 2, so the denominator's norm a^2 - n b^2 is nonzero.
+    """
     if n < 4:
         raise ValueError("closed form requires n >= 4")
-    conv = _FREE_CONVENTIONS[_fitted_free_convention()]
-    value = _free_det_formula(k, n, conv)
-    if value is None:
-        raise ConventionUnresolved("fitted convention failed to evaluate")
-    return value
+    if k < 1:
+        raise ValueError("closed form requires k >= 1")
+    num = _sqrt_pair_pow((0, 1), catalan_number(k), n)
+    den = (1, 0)
+    for r in range(1, k + 1):
+        a = _f_exponent(k, r) - _f_exponent(k, r + 1)
+        power = _sqrt_pair_pow(_chebycheff_at_sqrt(r, n), abs(a), n)
+        if a >= 0:
+            num = _sqrt_pair_mul(num, power, n)
+        else:
+            den = _sqrt_pair_mul(den, power, n)
+    value, _ = _sqrt_pair_mul(num, (den[0], -den[1]), n)
+    return value // (den[0] ** 2 - n * den[1] ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -455,35 +455,34 @@ class _HomSystem:
         else:
             self.coeff_l1_bound = None
 
-    def chunks_modp(self, p, root):
+    def _chunks(self, g4, s1, s2, p):
+        """Chains scaled by s1, s2: multipliers mod p, divisors over C."""
         n, k, l = self.n, self.k, self.l
-        gp = self.gt.modp(p, root)
-        s1 = pow(n, self.s1_pow, p)
-        s2 = pow(n, self.s2_pow, p)
         nk, nl = n ** k, n ** l
         idx = np.arange(nl)
         jdx = np.arange(nk)
         for e0, e1, f0, f1 in itertools.product(range(n), repeat=4):
-            k1 = _boundary_chain(gp, k, e0, e1, f0, f1, p)
-            k2 = _boundary_chain(gp, l, e0, e1, f0, f1, p)
-            a4 = np.zeros((nl, nk, nl, nk), dtype=np.int64)
-            a4[idx, :, idx, :] = (s1 * k1.T) % p
-            a4[:, jdx, :, jdx] = (a4[:, jdx, :, jdx] - (s2 * k2) % p) % p
-            yield a4.reshape(nl * nk, nl * nk)
-
-    def chunks_complex(self):
-        n, k, l = self.n, self.k, self.l
-        gv = self.gt.values
-        nk, nl = n ** k, n ** l
-        idx = np.arange(nl)
-        jdx = np.arange(nk)
-        for e0, e1, f0, f1 in itertools.product(range(n), repeat=4):
-            k1 = _boundary_chain(gv, k, e0, e1, f0, f1) / n ** (k + 1)
-            k2 = _boundary_chain(gv, l, e0, e1, f0, f1) / n ** (l + 1)
-            a4 = np.zeros((nl, nk, nl, nk), dtype=np.complex128)
+            k1 = _boundary_chain(g4, k, e0, e1, f0, f1, p)
+            k2 = _boundary_chain(g4, l, e0, e1, f0, f1, p)
+            if p is None:
+                k1, k2 = k1 / s1, k2 / s2
+            else:
+                k1, k2 = (s1 * k1) % p, (s2 * k2) % p
+            a4 = np.zeros((nl, nk, nl, nk), dtype=k1.dtype)
             a4[idx, :, idx, :] = k1.T
             a4[:, jdx, :, jdx] -= k2
+            if p is not None:
+                a4 %= p
             yield a4.reshape(nl * nk, nl * nk)
+
+    def chunks_modp(self, p, root):
+        return self._chunks(self.gt.modp(p, root), pow(self.n, self.s1_pow, p),
+                            pow(self.n, self.s2_pow, p), p)
+
+    def chunks_complex(self):
+        n = self.n
+        return self._chunks(self.gt.values, n ** (self.k + 1),
+                            n ** (self.l + 1), None)
 
 
 def _as_magic(obj):

@@ -21,15 +21,6 @@ from .errors import ShapeMismatch
 DEFAULT_TOL = 1e-9
 
 
-def approx_zero(z, tol=DEFAULT_TOL):
-    """True when the complex number z is zero within absolute tolerance."""
-    return abs(z) <= tol
-
-
-def approx_eq(a, b, tol=DEFAULT_TOL):
-    return abs(a - b) <= tol
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and reduction
 # ---------------------------------------------------------------------------
@@ -95,20 +86,6 @@ def reduce_mod_cyclotomic(coeffs, order):
     work = work[:deg]
     work += [0] * (deg - len(work))
     return tuple(work)
-
-
-def vector_is_zero(coeffs, order):
-    """Exact zero test for a group-algebra coefficient vector."""
-    return all(c == 0 for c in reduce_mod_cyclotomic(coeffs, order))
-
-
-def vector_eval(coeffs, order):
-    """Evaluate a coefficient vector to a complex number."""
-    return sum(
-        c * cmath.exp(2j * math.pi * j / order)
-        for j, c in enumerate(coeffs)
-        if c
-    ) + 0j
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +204,7 @@ class CycloScalar:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
-        return vector_is_zero(self.coeffs, self.order)
+        return not any(reduce_mod_cyclotomic(self.coeffs, self.order))
 
     def is_rational(self):
         reduced = reduce_mod_cyclotomic(self.coeffs, self.order)
@@ -254,7 +231,11 @@ class CycloScalar:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self):
-        return vector_eval(self.coeffs, self.order)
+        return sum(
+            c * cmath.exp(2j * math.pi * j / self.order)
+            for j, c in enumerate(self.coeffs)
+            if c
+        ) + 0j
 
     def __repr__(self):
         terms = [

@@ -66,6 +66,8 @@ def test_exit_code_matrix(tmp_path):
         (["pauli-check", "--samples", "5"], 2),
         (["nonexistent-subcommand"], 2),
         (["invariants", "--catalog", "fourier:2", "--kmax", "-1"], 2),
+        (["gram-det", "--family", "all", "--k", "5", "--n", "3"], 1),
+        (["gram-det", "--family", "noncrossing", "--k", "3", "--n", "3"], 1),
     ]
     for argv, expected in cases:
         proc = run_cli(*argv)
@@ -86,6 +88,21 @@ def test_domain_error_envelope():
     env = json.loads(proc.stdout)
     assert proc.returncode == 1
     assert env["error"]["type"] == "UnknownName"
+
+
+def test_value_error_on_parsed_request_is_a_domain_error():
+    proc = run_cli("gram-det", "--family", "all", "--k", "5", "--n", "3")
+    env = json.loads(proc.stdout)
+    assert proc.returncode == 1
+    assert env["error"]["type"] == "ValueError"
+
+
+def test_error_envelope_honours_text_format():
+    proc = run_cli("equiv", "--catalog", "fourier:9", "--catalog2",
+                   "fourier:9", "--format", "text")
+    assert proc.returncode == 1
+    assert not proc.stdout.startswith("{")
+    assert "  type: OrderTooLarge" in proc.stdout.splitlines()
 
 
 def test_catalog_roundtrip_through_files(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qperm.errors import ParseError, UnknownName
 from qperm.hadamard import (
     Hadamard,
+    _catalog_witness,
     bjorck_froberg,
     butson_enumerate,
     certificate_resum,
@@ -133,6 +134,18 @@ def test_witness_cells_yield_verified_matrices():
         w = res.matrices[0]
         assert w.verify()
         assert w.level == lev and w.n == n
+
+
+def test_table_witnesses_have_order_and_level():
+    grid = obstruction_table(10, 14)
+    cells = [c for row in grid for c in row if c.outcome == "exists"]
+    assert cells
+    for cell in cells:
+        expr, w = _catalog_witness(cell.n, cell.level)
+        assert expr == cell.witness
+        assert w.is_exact and w.n == cell.n
+        assert cell.level % level(w) == 0, (cell, level(w))
+        assert w.verify()
 
 
 def test_dita_products_are_fourier_equivalent():

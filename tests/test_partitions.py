@@ -154,9 +154,33 @@ def test_gram_det_formulas_match_exact():
     for k in range(1, 5):
         for n in (4, 5, 8):
             assert gram_det_classical(k, n) == gram_det_exact(ALL, k, n)
-    for k in range(1, 5):
+    for k in range(1, 7):
         for n in (4, 5, 9):
             assert gram_det_free(k, n) == gram_det_exact(NC, k, n)
+
+
+def test_gram_det_free_with_negative_exponent():
+    """At k = 8 the exponent a(8, 1) is negative; at n = 9, sqrt(n) = 3 and
+    the formula is 3^C_8 * prod_r U_r(3)^a(8,r), computed here in
+    Fractions with U_0 = 1, U_1 = 3, U_{r+1} = 3 U_r - U_{r-1}."""
+    k = 8
+
+    def binom(m):
+        return math.comb(2 * k, m) if m >= 0 else 0
+
+    def f(r):
+        return binom(k - r) - binom(k - r - 1)
+
+    u = [1, 3]
+    while len(u) <= k:
+        u.append(3 * u[-1] - u[-2])
+    expected = Fraction(3) ** catalan_number(k)
+    exponents = [f(r) - f(r + 1) for r in range(1, k + 1)]
+    assert min(exponents) < 0
+    for r, a in enumerate(exponents, start=1):
+        expected *= Fraction(u[r]) ** a
+    assert expected.denominator == 1
+    assert gram_det_free(k, 9) == expected.numerator
 
 
 def test_gram_det_small_cases():
@@ -168,9 +192,8 @@ def test_gram_det_small_cases():
         assert gram_det_free(2, n) == n ** 2 * (n - 1)
 
 
-def test_free_gram_convention_is_fitted_and_documented():
-    conv = free_gram_convention()
-    assert isinstance(conv, str) and conv
+def test_free_gram_convention_is_frozen_and_documented():
+    assert free_gram_convention() == "f(k,r)-f(k,r+1)"
 
 
 def test_clebsch_dimensions():
@@ -229,3 +252,11 @@ def test_weingarten_inverts_gram():
         for a in range(m):
             for b in range(m):
                 assert prod[a][b] == (1 if a == b else 0)
+
+
+def test_empty_family_has_empty_weingarten():
+    gw = gram_weingarten(PartitionFamily.EVEN_NONCROSSING, 3, 4)
+    assert gw.partitions == ()
+    assert gw.gram == ()
+    assert gw.weingarten == ()
+    assert not gw.is_singular
