@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationFailed, RankAmbiguous
-from .scalars import cyclotomic_poly
+from .scalars import cyclotomic_poly, factorize
 
 # ---------------------------------------------------------------------------
 # small dense exact routines
@@ -134,16 +134,7 @@ def unity_root_mod(p, level):
         return 1
     if (p - 1) % level:
         raise ValueError("p must be 1 mod level")
-    prime_divisors = set()
-    m = level
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            prime_divisors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        prime_divisors.add(m)
+    prime_divisors = factorize(level)
     for a in range(2, p):
         r = pow(a, (p - 1) // level, p)
         if r == 1:
@@ -280,16 +271,6 @@ class ModRREF:
         order = np.argsort(self.piv)
         self.R = self.R[order]
         self.piv = [self.piv[i] for i in order]
-
-    def nullspace_mod_p(self):
-        """Basis (ncols, nfree) of the nullspace mod p, RREF convention."""
-        free = [c for c in range(self.ncols) if c not in set(self.piv)]
-        X = np.zeros((self.ncols, len(free)))
-        for j, f in enumerate(free):
-            X[f, j] = 1.0
-        if self.rank:
-            X[self.piv, :] = np.mod(-self.R[:, free], self.p)
-        return X, free
 
 
 # ---------------------------------------------------------------------------

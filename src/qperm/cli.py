@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import json
 import math
@@ -114,24 +115,12 @@ def _catalog_matrix(spec):
     return named(name, *params)
 
 
-def parse_matrix_file(path):
-    """Read and verify a `.but` or `.cmat` matrix file."""
-    if path.endswith(".but"):
-        h = read_but(path)
-    elif path.endswith(".cmat"):
-        h = read_cmat(path)
-    else:
-        raise UsageError(f"unknown matrix extension on {path!r} "
-                         "(expected .but or .cmat)")
-    pair = h.failing_pair()
-    if pair is not None:
-        raise VerifyFailed(f"rows {pair[0]} and {pair[1]} of {path} are "
-                           "not orthogonal")
-    return h
-
-
 def _load_matrix(args, suffix="", verify=True):
-    """Resolve the --in/--catalog pair (or --in2/--catalog2) to a matrix."""
+    """Resolve the --in/--catalog pair (or --in2/--catalog2) to a matrix.
+
+    A matrix file is `.but` or `.cmat`; with `verify` its rows must be
+    orthogonal.
+    """
     path = getattr(args, "in" + suffix, None)
     spec = getattr(args, "catalog" + suffix, None)
     if (path is None) == (spec is None):
@@ -139,14 +128,18 @@ def _load_matrix(args, suffix="", verify=True):
                          % (suffix, suffix))
     if spec is not None:
         return _catalog_matrix(spec)
-    if not verify:
-        if path.endswith(".but"):
-            return read_but(path)
-        if path.endswith(".cmat"):
-            return read_cmat(path)
+    if path.endswith(".but"):
+        h = read_but(path)
+    elif path.endswith(".cmat"):
+        h = read_cmat(path)
+    else:
         raise UsageError(f"unknown matrix extension on {path!r} "
                          "(expected .but or .cmat)")
-    return parse_matrix_file(path)
+    pair = h.failing_pair() if verify else None
+    if pair is not None:
+        raise VerifyFailed(f"rows {pair[0]} and {pair[1]} of {path} are "
+                           "not orthogonal")
+    return h
 
 
 def _family(tok):
@@ -241,6 +234,20 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's int-to-str digit limit while an envelope is rendered
+    (exact Gram determinants run to thousands of digits); input parsing
+    keeps the interpreter's guard."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_any_int_digits()
 def emit_json(envelope):
     """Canonical bytes: sorted keys, compact separators, trailing newline."""
     text = json.dumps(jsonable(envelope), sort_keys=True,
@@ -248,6 +255,7 @@ def emit_json(envelope):
     return (text + "\n").encode()
 
 
+@_any_int_digits()
 def _emit_text(value, indent=0):
     pad = "  " * indent
     lines = []

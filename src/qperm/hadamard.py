@@ -271,7 +271,6 @@ def dita_fourier_params(n, m):
 
 def tao():
     """The 6x6 level-3 matrix with index-symmetric block pattern."""
-    j = 1
     rows = [
         [0, 0, 0, 0, 0, 0],
         [0, 0, 1, 1, 2, 2],
@@ -280,8 +279,7 @@ def tao():
         [0, 2, 2, 1, 0, 1],
         [0, 2, 1, 2, 1, 0],
     ]
-    h = Hadamard(exponents=np.array(rows) * j, level=3, provenance="tao")
-    return h
+    return Hadamard(exponents=rows, level=3, provenance="tao")
 
 
 def haagerup(q):
@@ -592,100 +590,77 @@ def certificate_resum(h, report, tol=DEFAULT_TOL):
 
 
 def fingerprint(h):
-    """Sorted multiset of quadruple products H_ij H*_kj H*_il H_kl (i != k,
-    j != l), rounded; invariant under row/column permutations and scalings."""
+    """Haagerup's invariant Lambda(H): the multiset of quadruple products
+    H_ij H*_kj H*_il H_kl over all i, k, j, l.
+
+    It is invariant under row/column permutations and unimodular scalings.
+    On Butson input it is exact: the quadruple exponents q mod l, divided by
+    g = gcd(l, all q), as the pair (l/g, histogram of q/g).  Every dephased
+    entry is a quadruple and every quadruple a product of dephased entries,
+    so l/g is the level of the dephased matrix, whatever level H is written
+    at.  On float input it is the sorted tuple of the products, each rounded
+    to _FINGERPRINT_DIGITS decimals.
+    """
+    if h.is_exact:
+        e = h.exponents
+        rows = e[:, None, :] - e[None, :, :]
+        q = (rows[:, :, :, None] - rows[:, :, None, :]) % h.level
+        g = math.gcd(h.level, int(np.gcd.reduce(q, axis=None)))
+        lev = h.level // g
+        hist = np.bincount((q // g).ravel(), minlength=lev)
+        return lev, tuple(hist.tolist())
     m = h.entries
-    n = h.n
-    vals = []
-    for i in range(n):
-        for kk in range(n):
-            if i == kk:
-                continue
-            row = m[i] * m[kk].conj()
-            for j in range(n):
-                for ll in range(n):
-                    if j == ll:
-                        continue
-                    z = row[j] * row[ll].conjugate()
-                    re = round(z.real, _FINGERPRINT_DIGITS) + 0.0
-                    im = round(z.imag, _FINGERPRINT_DIGITS) + 0.0
-                    vals.append((re, im))
-    return tuple(sorted(vals))
+    rows = m[:, None, :] * m[None, :, :].conj()
+    z = rows[:, :, :, None] * rows[:, :, None, :].conj()
+    return tuple(np.sort(np.round(z, _FINGERPRINT_DIGITS).ravel()).tolist())
 
 
-def _value_key_matrix(h, common_level=None):
-    """Comparable per-entry keys: exact ints when possible, rounded floats."""
-    if h.is_exact and common_level is not None:
-        return (h.exponents * (common_level // h.level)) % common_level
-    m = h.entries
-    re = np.round(m.real, _FINGERPRINT_DIGITS) + 0.0
-    im = np.round(m.imag, _FINGERPRINT_DIGITS) + 0.0
-    return np.stack([re, im], axis=-1)
+def _value_keys(h, common_level):
+    """Per-entry keys: exponents at the common level, or rounded entries."""
+    if h.is_exact:
+        return h.exponents * (common_level // h.level)
+    return np.round(h.entries, _FINGERPRINT_DIGITS)
 
 
-def _perm_equal_search(a_keys, b_keys, n):
-    """Is there a row perm + column perm taking A to B?  DFS over columns
-    with row-profile pruning."""
+def _perm_equal_search(a_keys, b_keys):
+    """Is there a row perm + column perm taking A to B?  Depth-first over
+    the columns of A; a partial column map is kept only while the rows of A
+    and B, restricted to the mapped columns, agree as multisets."""
+    a_rows, b_rows = a_keys.tolist(), b_keys.tolist()
+    n = len(a_rows)
+    a_cols = [Counter(col) for col in zip(*a_rows)]
+    b_cols = [Counter(col) for col in zip(*b_rows)]
 
-    def col_tuple(mat, col):
-        return tuple(map(tuple, mat[:, col])) if mat.ndim == 3 else \
-            tuple(mat[:, col])
-
-    def row_profile(mat, cols):
-        prof = Counter()
-        for r in range(n):
-            key = tuple(col_tuple_row(mat, r, c) for c in cols)
-            prof[key] += 1
-        return prof
-
-    def col_tuple_row(mat, r, c):
-        v = mat[r, c]
-        return tuple(v) if getattr(v, "ndim", 0) else v.item() \
-            if hasattr(v, "item") else v
-
-    b_col_multisets = [Counter(col_tuple(b_keys, c)) for c in range(n)]
-
-    def rec(depth, mapping, used):
+    def rec(mapping):
+        depth = len(mapping)
         if depth == n:
-            rows_a = Counter(
-                tuple(col_tuple_row(a_keys, r, c) for c in range(n))
-                for r in range(n)
-            )
-            rows_b = Counter(
-                tuple(col_tuple_row(b_keys, r, mapping[c]) for c in range(n))
-                for r in range(n)
-            )
-            return rows_a == rows_b
-        amul = Counter(col_tuple(a_keys, depth))
+            return True
+        prefix_a = Counter(tuple(row[:depth + 1]) for row in a_rows)
         for v in range(n):
-            if v in used:
-                continue
-            if b_col_multisets[v] != amul:
+            if v in mapping or b_cols[v] != a_cols[depth]:
                 continue
             mapping.append(v)
-            used.add(v)
-            cols = list(range(depth + 1))
-            profa = Counter(
-                tuple(col_tuple_row(a_keys, r, c) for c in cols)
-                for r in range(n)
-            )
-            profb = Counter(
-                tuple(col_tuple_row(b_keys, r, mapping[c]) for c in cols)
-                for r in range(n)
-            )
-            if profa == profb and rec(depth + 1, mapping, used):
+            prefix_b = Counter(tuple(row[c] for c in mapping)
+                               for row in b_rows)
+            if prefix_a == prefix_b and rec(mapping):
                 return True
             mapping.pop()
-            used.discard(v)
         return False
 
-    return rec(0, [], set())
+    return rec([])
 
 
 def equivalent(h, k, max_order=8):
-    """Decide equivalence under row/column permutations and scalings."""
+    """Decide equivalence under row/column permutations and scalings.
+
+    Two Butson matrices are compared exactly; an exact/float pair is
+    compared in float form.
+    """
     if h.n != k.n:
         return False
+    if h.is_exact != k.is_exact:
+        h, k = (Hadamard(entries=x.entries, provenance=x.provenance)
+                for x in (h, k))
     if fingerprint(h) != fingerprint(k):
         return False
     if h.n > max_order:
@@ -693,21 +668,12 @@ def equivalent(h, k, max_order=8):
             f"order {h.n} > {max_order}: fingerprints match but the "
             "exhaustive search is out of range (verdict Unknown)"
         )
-    common = None
-    if h.is_exact and k.is_exact:
-        lh, lk = h.reduced_level(), k.reduced_level()
-        if lh != lk:
-            return False  # the dephased level is an equivalence invariant
-        common = math.lcm(h.level, k.level)
-        hh = h.with_level(common)
-        kk = k.with_level(common)
-    else:
-        hh, kk = h, k
-    b_keys = _value_key_matrix(dephase(kk), common)
+    common = math.lcm(h.level, k.level) if h.is_exact else None
+    b_keys = _value_keys(dephase(k), common)
     for r in range(h.n):
         for c in range(h.n):
-            a_keys = _value_key_matrix(pivot_dephase(hh, r, c), common)
-            if _perm_equal_search(a_keys, b_keys, h.n):
+            a_keys = _value_keys(pivot_dephase(h, r, c), common)
+            if _perm_equal_search(a_keys, b_keys):
                 return True
     return False
 
@@ -823,17 +789,12 @@ def butson_enumerate(n, lev, mode="any_witness", budget=10_000_000):
     rec([], np.ones(m, dtype=bool))
 
     if mode == "all_dephased_classes":
+        buckets = {}
         classes = []
-        seen = []
         for h in found:
-            fp = fingerprint(h)
-            dup = False
-            for fp2, rep in seen:
-                if fp == fp2 and equivalent(h, rep):
-                    dup = True
-                    break
-            if not dup:
-                seen.append((fp, h))
+            reps = buckets.setdefault(fingerprint(h), [])
+            if not any(equivalent(h, rep) for rep in reps):
+                reps.append(h)
                 classes.append(h)
         found = classes
     return EnumerationResult(n, lev, mode, found, complete, nodes, configs)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from qperm.cli import _emit_text, emit_json
 from qperm.hadamard import fourier, read_but, tao
+from qperm.partitions import gram_det_free
 
 DATA = Path(__file__).parent / "data"
 QPERM = shutil.which("qperm")
@@ -74,9 +76,14 @@ def test_exit_code_matrix(tmp_path):
         assert proc.returncode == expected, (argv, proc.stderr, proc.stdout)
 
 
-def test_negative_verify_payload():
+def test_negative_verify_payload(tmp_path):
     env = envelope("verify", "--catalog", "fourier:3")
     assert env["payload"]["ok"] is True
+    bad = tmp_path / "bad.but"
+    bad.write_text("3 2\n0 0 0\n0 1 0\n0 0 1\n")
+    env = envelope("verify", "--in", str(bad))
+    assert env["payload"]["ok"] is False
+    assert env["payload"]["failing_pair"] == [0, 1]
     proc = run_cli("obstruct", "--n", "5", "--l", "3")
     env = json.loads(proc.stdout)
     assert proc.returncode == 0
@@ -153,6 +160,31 @@ def test_equiv_subcommand():
     assert env["payload"]["equivalent"] is True
     env = envelope("equiv", "--catalog", "fourier:6", "--catalog2", "tao")
     assert env["payload"]["equivalent"] is False
+
+
+def test_equiv_across_levels(tmp_path):
+    # i*F2 written at level 4: its undephased entries are 4th roots, its
+    # dephased form is F2
+    path = tmp_path / "if2.but"
+    path.write_text("2 4\n1 1\n1 3\n")
+    env = envelope("equiv", "--in", str(path), "--catalog2", "fourier:2")
+    assert env["payload"]["equivalent"] is True
+
+
+def test_writers_print_integers_of_any_size():
+    limit = sys.get_int_max_str_digits()
+    det = gram_det_free(8, 9)  # about 5700 digits
+    assert det.bit_length() > 4 * limit
+    out = emit_json({"determinant": det})
+    lines = _emit_text({"determinant": det})
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(det)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == b'{"determinant":' + digits.encode() + b"}\n"
+    assert lines == ["determinant: " + digits]
 
 
 def test_gram_det_and_weingarten_payloads():

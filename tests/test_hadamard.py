@@ -1,6 +1,8 @@
 """Hadamard construction, equivalence, enumeration and obstruction tests."""
 
+import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -96,7 +98,21 @@ def test_level_divides_lcm_under_tensor():
         assert math.lcm(h.level, k.level) % level(t) == 0
 
 
-@pytest.mark.parametrize("h", EXACT_CATALOG[:6], ids=lambda h: h.provenance)
+def turns(t):
+    """The unimodular value of a decimal turn, as the CLI reads it."""
+    return complex(cmath.exp(2j * math.pi * t))
+
+
+FLOAT_CATALOG = [
+    pytest.param(haagerup(turns(0.13)), id="haagerup:0.13"),
+    pytest.param(petrescu(turns(0.07)), id="petrescu:0.07"),
+    pytest.param(f4q(turns(0.37)), id="f4q:0.37"),
+    pytest.param(bjorck_froberg(), id="bjorck_froberg"),
+]
+
+
+@pytest.mark.parametrize("h", EXACT_CATALOG[:6] + FLOAT_CATALOG,
+                         ids=lambda h: h.provenance)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_equivalence_and_fingerprint_invariance(h, seed):
     moved = random_equivalent(h, seed)
@@ -104,9 +120,58 @@ def test_equivalence_and_fingerprint_invariance(h, seed):
     assert equivalent(h, moved)
 
 
+@pytest.mark.parametrize("h", [
+    fourier(2).with_level(4),
+    tensor(fourier(2), fourier(2)).with_level(4),
+    tao().with_level(6),
+], ids=lambda h: h.provenance)
+def test_moves_at_a_multiple_level_stay_equivalent(h):
+    # the moves scale by roots of the higher level, so a move's undephased
+    # level can differ from that of h; its dephased level cannot
+    for seed in range(6):
+        moved = random_equivalent(h, seed)
+        assert fingerprint(moved) == fingerprint(h), seed
+        assert equivalent(h, moved), seed
+
+
+def test_fingerprint_matches_loop_reference():
+    for h in (tao(), haagerup(Fraction(1, 4)),
+              random_equivalent(fourier(4).with_level(8), 2)):
+        n, lev, e = h.n, h.level, h.exponents.tolist()
+        qs = Counter((e[i][j] - e[k][j] - e[i][m] + e[k][m]) % lev
+                     for i in range(n) for k in range(n)
+                     for j in range(n) for m in range(n))
+        g = math.gcd(lev, *qs)
+        dlev, hist = fingerprint(h)
+        assert dlev == lev // g == level(dephase(h))
+        assert {q // g: c for q, c in qs.items()} == \
+            {q: c for q, c in enumerate(hist) if c}
+        # the float path rounds the same products once
+        want = sorted((round(z.real, 6), round(z.imag, 6))
+                      for q, c in qs.items()
+                      for z in [cmath.exp(2j * math.pi * q / lev)] * c)
+        got = fingerprint(Hadamard(entries=h.entries))
+        assert [(z.real, z.imag) for z in got] == want
+
+
+def test_exact_equivalence_is_float_free():
+    h = tao()
+    k = random_equivalent(h, 3)
+    fingerprint(h)
+    assert equivalent(h, k)
+    assert h._entries_cache is None and k._entries_cache is None
+
+
+def test_mixed_pair_is_compared_in_float_form():
+    assert equivalent(fourier(4), Hadamard(entries=fourier(4).entries))
+
+
 def test_inequivalent_pairs():
     assert not equivalent(fourier(6), tao())
     assert not equivalent(fourier(4), tensor(fourier(2), fourier(2)))
+    assert not equivalent(fourier(4),
+                          Hadamard(entries=tensor(fourier(2), fourier(2))
+                                   .entries))
 
 
 def test_fingerprint_separates_catalog():

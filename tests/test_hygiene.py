@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package evaluates strings as code."""
+"""Source hygiene: no module of the package evaluates strings as code, and
+no function keeps a nested helper that it never uses."""
 
 import ast
 from pathlib import Path
@@ -6,14 +7,45 @@ from pathlib import Path
 import qperm
 
 PACKAGE = Path(qperm.__file__).parent
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _trees():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def test_no_eval_or_exec_calls():
     offenders = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _trees():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id in ("eval", "exec")):
                 offenders.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert not offenders, offenders
+
+
+def _nested_defs(func):
+    """The defs whose nearest enclosing function is func."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FUNCTION):
+            yield node
+        elif not isinstance(node, (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_unreferenced_nested_defs():
+    offenders = []
+    for path, tree in _trees():
+        for func in ast.walk(tree):
+            if not isinstance(func, FUNCTION):
+                continue
+            for inner in _nested_defs(func):
+                own = {id(n) for n in ast.walk(inner)}
+                if not any(isinstance(n, ast.Name) and n.id == inner.name
+                           and id(n) not in own for n in ast.walk(func)):
+                    offenders.append(f"{path.name}:{inner.lineno} "
+                                     f"{func.name}.{inner.name}")
     assert not offenders, offenders
