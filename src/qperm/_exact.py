@@ -472,7 +472,11 @@ def _independent_mod(basis, p, level):
     return rref.rank == len(basis)
 
 
-def certified_nullity(system, candidates=None, max_lift_primes=6):
+#: Largest prime set the lift may escalate to before a restart.
+_MAX_LIFT_PRIMES = 6
+
+
+def certified_nullity(system, candidates=None):
     """Certified exact nullity of a streamed system over Q(zeta_l).
 
     `system` exposes ncols, level, coeff_l1_bound and chunks_modp(p, r).
@@ -485,7 +489,7 @@ def certified_nullity(system, candidates=None, max_lift_primes=6):
     level = max(system.level, 1)
     T = _primitive_residues(level)
     p_max = min(_max_safe_prime(ncols), 1 << 26)
-    pool = primes_one_mod(level, p_max, max_lift_primes + 4)
+    pool = primes_one_mod(level, p_max, _MAX_LIFT_PRIMES + 4)
     tags = []
 
     if ncols == 0:
@@ -540,7 +544,7 @@ def certified_nullity(system, candidates=None, max_lift_primes=6):
                 ):
                     tags.append(f"lift-primes={len(primes)}")
                     return NullityCertificate(ncols - rank, level, basis, tags)
-                if len(primes) >= max_lift_primes or next_idx >= len(pool):
+                if len(primes) >= _MAX_LIFT_PRIMES or next_idx >= len(pool):
                     raise _LiftFailure("lift verification failed")
                 p_new = pool[next_idx]
                 next_idx += 1
@@ -565,7 +569,11 @@ def certified_nullity(system, candidates=None, max_lift_primes=6):
 # ---------------------------------------------------------------------------
 
 
-def float_nullity(chunks, ncols, tol=1e-9, gap_factor=10.0):
+#: Margin, as a factor, that singular values must keep from the threshold.
+_GAP_FACTOR = 10.0
+
+
+def float_nullity(chunks, ncols, tol=1e-9):
     """Nullity of a float system by SVD, guarded by a singular-value gap.
 
     Chunks are streamed; long streams are compressed on the fly into an
@@ -598,7 +606,7 @@ def float_nullity(chunks, ncols, tol=1e-9, gap_factor=10.0):
     nullity = int(np.count_nonzero(small))
     if nullity in (0, ncols):
         # still require a safe margin against the threshold
-        if nullity == 0 and sv[-1] < gap_factor * thresh:
+        if nullity == 0 and sv[-1] < _GAP_FACTOR * thresh:
             raise RankAmbiguous(
                 f"smallest singular value {sv[-1]:.3e} too close to "
                 f"threshold {thresh:.3e}"
@@ -606,9 +614,9 @@ def float_nullity(chunks, ncols, tol=1e-9, gap_factor=10.0):
         return nullity, math.inf
     kept = sv[~small]
     dropped = sv[small]
-    gap = kept.min() / max(dropped.max(), thresh / gap_factor * 1e-6)
-    if kept.min() < gap_factor * thresh or gap < gap_factor:
+    gap = kept.min() / max(dropped.max(), thresh / _GAP_FACTOR * 1e-6)
+    if kept.min() < _GAP_FACTOR * thresh or gap < _GAP_FACTOR:
         raise RankAmbiguous(
-            f"singular-value gap {gap:.2f} below factor {gap_factor}"
+            f"singular-value gap {gap:.2f} below factor {_GAP_FACTOR}"
         )
     return nullity, float(gap)

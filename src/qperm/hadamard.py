@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,11 +29,9 @@ from .errors import (
 from .scalars import (
     DEFAULT_TOL,
     NormVerdict,
-    CycloScalar,
-    cyclo_root,
+    cyclotomic_poly,
     factorize,
     hermitian_norm_solvable,
-    reduce_mod_cyclotomic,
 )
 
 LEVEL_INFINITE = math.inf
@@ -90,12 +89,6 @@ class Hadamard:
             )
         return self._entries_cache
 
-    def entry_scalar(self, i, j):
-        """Exact entry as a CycloScalar (ButsonForm only)."""
-        if not self.is_exact:
-            raise MalformedMatrix("entry_scalar requires ButsonForm")
-        return cyclo_root(self.level, int(self.exponents[i, j]))
-
     def reduced_level(self):
         """Minimal l such that all entries are l-th roots (exact form)."""
         g = self.level
@@ -140,14 +133,25 @@ class Hadamard:
         return f"Hadamard(n={self.n}, {form}{tag})"
 
 
+@lru_cache(maxsize=None)
 def _root_reduction_table(level):
-    """Integer coefficient vectors of zeta^e mod the cyclotomic polynomial."""
-    rows = []
+    """Integer coefficient vectors of zeta^e mod the cyclotomic polynomial.
+
+    Row e is x^e mod Phi_level in the power basis; each row is the previous
+    one shifted up a degree with its overflow reduced by the monic Phi.
+    The table is cached per level and read-only.
+    """
+    phi = np.array(cyclotomic_poly(level), dtype=np.int64)
+    deg = len(phi) - 1
+    table = np.zeros((level, deg), dtype=np.int64)
+    row = np.zeros(deg, dtype=np.int64)
+    row[0] = 1
     for e in range(level):
-        coeffs = [Fraction(0)] * level
-        coeffs[e] = Fraction(1)
-        rows.append([int(c) for c in reduce_mod_cyclotomic(coeffs, level)])
-    return np.array(rows, dtype=np.int64)
+        table[e] = row
+        top = row[-1]
+        row = np.concatenate(([0], row[:-1])) - top * phi[:-1]
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

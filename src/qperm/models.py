@@ -83,18 +83,22 @@ def su2_sample(seed):
     return SpinElement(tuple(float(c) for c in v))
 
 
-def _pauli_blocks(xs):
-    """Projection grids Proj(c_i x c_j) for a batch of 2 x 2 matrices.
+#: Samples per vectorised batch of the word estimator.  It bounds memory;
+#: changing it moves seeded estimates by float rounding.
+_WORD_BATCH = 8192
 
-    xs has shape (batch, 2, 2); the result has shape (batch, 4, 4, 4, 4):
-    for each sample a 4 x 4 grid of 4 x 4 projection matrices written in
-    the Pauli coordinates of M_2 (trace inner product).
+
+def _pauli_lines(xs, pairs):
+    """Pauli coordinates w of the lines c_i x c_j for a batch of matrices x.
+
+    xs has shape (batch, 2, 2) and pairs lists 0-based (i, j); the result
+    has shape (batch, len(pairs), 4).  The block U_ij is the rank-one
+    projection w w* / <w, w> in the Pauli coordinates of M_2 (trace inner
+    product).
     """
-    mid = np.einsum("iab,nbc,jcd->nijad", _PAULI, xs, _PAULI)
-    w = np.einsum("mab,nijab->nijm", _PAULI.conj(), mid) / 2.0
-    norms = np.einsum("nijm,nijm->nij", w, w.conj()).real
-    return (w[..., :, None] * w.conj()[..., None, :]
-            / norms[..., None, None])
+    i, j = np.array(pairs).T
+    mid = np.einsum("tab,nbc,tcd->ntad", _PAULI[i], xs, _PAULI[j])
+    return np.einsum("mab,ntab->ntm", _PAULI.conj(), mid) / 2.0
 
 
 def pauli_magic(x):
@@ -108,7 +112,10 @@ def pauli_magic(x):
         x, dtype=np.complex128)
     if mat.shape != (2, 2):
         raise ShapeMismatch("spin element must be 2 x 2")
-    blocks = _pauli_blocks(mat[None])[0]
+    grid = [(i, j) for i in range(4) for j in range(4)]
+    w = _pauli_lines(mat[None], grid)[0].reshape(4, 4, 4)
+    norms = np.einsum("ijm,ijm->ij", w, w.conj()).real
+    blocks = w[..., :, None] * w.conj()[..., None, :] / norms[..., None, None]
     return MagicUnitary(blocks, provenance="pauli-model")
 
 
@@ -122,13 +129,15 @@ class WordEstimate:
     samples: int
 
 
-def model_word_expectation(word, samples, seed, batch=8192):
+def model_word_expectation(word, samples, seed):
     """Monte-Carlo average of the normalized trace of a word of blocks.
 
     word lists 1-based index pairs (i_m, j_m) of the monomial
     u_{i_1 j_1} ... u_{i_k j_k}; the estimate averages
     tr(U^x_{i_1 j_1} ... U^x_{i_k j_k}) / 4 over Haar samples x and
-    matches the exact noncrossing Weingarten integral at order 4.
+    matches the exact noncrossing Weingarten integral at order 4.  The
+    blocks are rank-one projections onto lines w_t, so the trace is the
+    cyclic product prod_t <w_t, w_{t+1}> / prod_t <w_t, w_t>.
     """
     word = tuple((int(i), int(j)) for i, j in word)
     if not word:
@@ -137,21 +146,21 @@ def model_word_expectation(word, samples, seed, batch=8192):
         raise MalformedMatrix("word indices must lie in 1..4")
     if samples < 1:
         raise MalformedMatrix("need at least one sample")
+    pairs = [(i - 1, j - 1) for i, j in word]
     rng = _as_rng(seed)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
-        b = min(batch, samples - done)
+        b = min(_WORD_BATCH, samples - done)
         v = rng.standard_normal((b, 4))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         xs = np.einsum("nm,mab->nab", v, _PAULI)
-        grids = _pauli_blocks(xs)
-        i0, j0 = word[0]
-        prod = grids[:, i0 - 1, j0 - 1]
-        for i, j in word[1:]:
-            prod = prod @ grids[:, i - 1, j - 1]
-        vals = np.einsum("naa->n", prod).real / 4.0
+        w = _pauli_lines(xs, pairs)
+        wc = w.conj()
+        inner = np.einsum("ntm,ntm->nt", wc, np.roll(w, -1, axis=1))
+        norms = np.einsum("ntm,ntm->nt", wc, w).real
+        vals = (inner.prod(axis=1) / norms.prod(axis=1)).real / 4.0
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += b

@@ -73,17 +73,6 @@ class SetPartition:
             rgs.append(relabel[lab])
         return cls(len(rgs), tuple(rgs))
 
-    @classmethod
-    def from_blocks(cls, size, blocks):
-        """Blocks given as iterables of 1-based point labels."""
-        labels = [None] * size
-        for bi, block in enumerate(blocks):
-            for pt in block:
-                labels[pt - 1] = bi
-        if any(lab is None for lab in labels):
-            raise ValueError("blocks must cover every point")
-        return cls.from_labels(labels)
-
     @property
     def block_count(self):
         return max(self.rgs) + 1 if self.size else 0
@@ -101,22 +90,6 @@ class SetPartition:
              for i, j in zip(blk, blk[1:])], 2
         ):
             if a < c < b < d or c < a < d < b:
-                return False
-        return True
-
-    def block_sizes(self):
-        sizes = [0] * self.block_count
-        for lab in self.rgs:
-            sizes[lab] += 1
-        return sizes
-
-    def __le__(self, other):
-        """Refinement order: self <= other when every block sits in one of other's."""
-        if self.size != other.size:
-            raise ShapeMismatch("sizes differ")
-        rep = {}
-        for a, b in zip(self.rgs, other.rgs):
-            if rep.setdefault(a, b) != b:
                 return False
         return True
 
@@ -311,18 +284,17 @@ def integrate_monomial(family, n, i, j):
 
 
 def char_moment(family, n, k):
-    """Exact k-th moment of the main character, as Tr(G_kn W_kn)."""
+    """Exact k-th moment of the main character, Tr(G_kn W_kn).
+
+    W_kn is the inverse of G_kn, so the trace is the number of partitions:
+    Bell(k) for ALL with n >= k, Catalan(k) for NONCROSSING.
+    """
     if k == 0:
         return Fraction(1)
     gw = gram_weingarten(family, k, n)
     if gw.is_singular:
         raise SingularGram(f"Gram matrix singular for k={k}, n={n}")
-    m = len(gw.partitions)
-    total = Fraction(0)
-    for a in range(m):
-        for b in range(m):
-            total += gw.gram[a][b] * gw.weingarten[b][a]
-    return total
+    return Fraction(len(gw.partitions))
 
 
 def truncated_char_moment(family, n, s, k):

@@ -493,17 +493,7 @@ def _as_magic(obj):
     raise MalformedMatrix("expected a MagicUnitary or Hadamard value")
 
 
-def _resolve_method(method, exact_available):
-    if method not in ("auto", "exact", "float"):
-        raise ValueError("method must be auto, exact or float")
-    if method == "exact" and not exact_available:
-        raise MalformedMatrix("exact method needs ButsonForm input")
-    if method == "auto":
-        return "exact" if exact_available else "float"
-    return method
-
-
-def fix_dim_direct(p, k, method="auto", tol=DEFAULT_TOL, return_info=False):
+def fix_dim_direct(p, k, tol=DEFAULT_TOL, return_info=False):
     """Dimension of the fixed space of the k-fold block product.
 
     Accepts a MagicUnitary or a Hadamard matrix (converted to its magic
@@ -520,8 +510,7 @@ def fix_dim_direct(p, k, method="auto", tol=DEFAULT_TOL, return_info=False):
     _check_budget((magic.n ** k) * magic.dim ** 2 * magic.n ** k,
                   "fixed-point system")
     sys = _FixSystem(magic, k)
-    mode = _resolve_method(method, magic.is_exact)
-    if mode == "exact":
+    if magic.is_exact:
         cert = certified_nullity(sys)
         dim = cert.dim
         info = {"method": "exact", "gap": None, "tags": cert.tags,
@@ -532,16 +521,16 @@ def fix_dim_direct(p, k, method="auto", tol=DEFAULT_TOL, return_info=False):
     return (dim, info) if return_info else dim
 
 
-def _hom_nullity(h, k, l, mode, tol, candidates=None):
+def _hom_nullity(h, k, l, tol, candidates=None):
     sys = _HomSystem(h, k, l)
-    if mode == "exact":
+    if h.is_exact:
         cert = certified_nullity(sys, candidates=candidates)
         return cert.dim, {"method": "exact", "gap": None, "tags": cert.tags}
     dim, gap = float_nullity(sys.chunks_complex(), sys.ncols, tol=tol)
     return dim, {"method": "float", "gap": gap, "tags": []}
 
 
-def hom_dim_via_g(h, k, l, method="auto", tol=DEFAULT_TOL, return_info=False):
+def hom_dim_via_g(h, k, l, tol=DEFAULT_TOL, return_info=False):
     """Dimension of the space of (k, l) intertwiners via the G chains.
 
     Solves the commutation linear system for the n^l x n^k unknown T.
@@ -556,8 +545,7 @@ def hom_dim_via_g(h, k, l, method="auto", tol=DEFAULT_TOL, return_info=False):
         raise ValueError("k and l must be nonnegative")
     n = h.n
     _check_budget(n ** (k + l + 2) * n ** (k + l), "hom-space system")
-    mode = _resolve_method(method, h.is_exact)
-    dim, info = _hom_nullity(h, k, l, mode, tol)
+    dim, info = _hom_nullity(h, k, l, tol)
     return (dim, info) if return_info else dim
 
 
@@ -601,20 +589,16 @@ def invariants(h, kmax, method="both", tol=DEFAULT_TOL):
            "both": "both-agree"}[method]
     values = [1]
     methods = [tag]
-    mode = "exact" if h.is_exact else "float"
     for k in range(1, kmax + 1):
         d_dir = None
         basis = None
         if need_direct:
-            d_dir, info = fix_dim_direct(magic, k, method=mode, tol=tol,
-                                         return_info=True)
+            d_dir, info = fix_dim_direct(magic, k, tol=tol, return_info=True)
             basis = info.get("basis")
         d_g = None
         if need_g:
             _check_budget(h.n ** (k + 2) * h.n ** k, "hom-space system")
-            d_g, _ = _hom_nullity(h, 0, k, mode, tol,
-                                  candidates=basis if mode == "exact"
-                                  else None)
+            d_g, _ = _hom_nullity(h, 0, k, tol, candidates=basis)
         if need_direct and need_g and d_dir != d_g:
             raise MethodDisagreement(
                 f"c_{k}: direct fixed points give {d_dir}, "

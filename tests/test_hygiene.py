@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package evaluates strings as code, and
-no function keeps a nested helper that it never uses."""
+"""Source hygiene: no module of the package evaluates strings as code, no
+function keeps a nested helper that it never uses, and every function the
+package defines is referenced somewhere in the project."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import qperm
 
 PACKAGE = Path(qperm.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -48,4 +50,31 @@ def test_no_unreferenced_nested_defs():
                            and id(n) not in own for n in ast.walk(func)):
                     offenders.append(f"{path.name}:{inner.lineno} "
                                      f"{func.name}.{inner.name}")
+    assert not offenders, offenders
+
+
+def _referenced_names():
+    """Every name, attribute and imported name used in the project's code."""
+    names = set()
+    for top in (PACKAGE, ROOT / "tests", ROOT / "demos", ROOT / "perfbench"):
+        for path in top.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_def_is_referenced():
+    used = _referenced_names()
+    offenders = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, FUNCTION) and node.name not in used
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))):
+                offenders.append(f"{path.name}:{node.lineno} {node.name}")
     assert not offenders, offenders

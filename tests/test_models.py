@@ -63,6 +63,32 @@ def test_word_u11_is_exact_quarter():
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
 
+def test_word_trace_is_cyclic_product_of_lines():
+    """One-sample estimates equal tr(U_{i1 j1} ... U_{ik jk}) / 4 built from
+    explicit products of the pauli_magic blocks at the same sample."""
+    words = [
+        [(3, 2)],
+        [(1, 2), (2, 3)],
+        [(2, 3), (2, 3)],
+        [(1, 1), (1, 2)],
+        [(1, 2), (2, 3), (3, 1)],
+        [(4, 1), (2, 3), (4, 1), (1, 4)],
+        [(1, 2), (2, 3), (3, 4), (4, 2)],
+    ]
+    for seed in range(8):
+        v = np.random.default_rng(seed).standard_normal(4)
+        blocks = pauli_magic(SpinElement(tuple(v / np.linalg.norm(v)))).blocks
+        for w in words:
+            prod = np.eye(4)
+            for i, j in w:
+                prod = prod @ blocks[i - 1, j - 1]
+            want = np.trace(prod).real / 4.0
+            got = model_word_expectation(w, 1, seed).value
+            assert got == pytest.approx(want, abs=1e-12), (seed, w)
+            if w == [(1, 1), (1, 2)]:
+                assert abs(want) <= 1e-12 and abs(got) <= 1e-12
+
+
 def test_row_symmetry_of_single_coordinates():
     for i in range(1, 5):
         for j in range(1, 5):
