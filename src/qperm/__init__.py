@@ -1,12 +1,13 @@
 """Complex Hadamard matrices, Butson classes and quantum permutation invariants.
 
-The package splits into five layers: exact cyclotomic scalars
-(:mod:`qperm.scalars`), partition combinatorics and Weingarten calculus
-(:mod:`qperm.partitions`), Hadamard matrix construction, equivalence and
-Butson obstructions (:mod:`qperm.hadamard`), magic unitaries and Hom-space
-invariants (:mod:`qperm.quantum`), and concrete matrix models
-(:mod:`qperm.models`).  The :mod:`qperm.cli` module exposes everything as
-``qperm`` subcommands.
+The package splits into five layers: exact arithmetic in Z[zeta_l], held
+as integer group-algebra coefficients with one reduction modulo the
+cyclotomic polynomial (:mod:`qperm.scalars`), partition combinatorics and
+Weingarten calculus (:mod:`qperm.partitions`), Hadamard matrix
+construction, equivalence and Butson obstructions (:mod:`qperm.hadamard`),
+magic unitaries and Hom-space invariants (:mod:`qperm.quantum`), and
+concrete matrix models (:mod:`qperm.models`).  The :mod:`qperm.cli`
+module exposes everything as ``qperm`` subcommands.
 """
 
 __version__ = "0.1.0"
@@ -28,12 +29,7 @@ from .errors import (
     UnknownName,
     VerifyFailed,
 )
-from .scalars import (
-    CycloScalar,
-    NormVerdict,
-    cyclo_root,
-    hermitian_norm_solvable,
-)
+from .scalars import NormVerdict, hermitian_norm_solvable
 from .partitions import (
     GramWeingarten,
     PartitionFamily,

@@ -11,12 +11,23 @@ Two layers live here:
   modulo a prime gives an upper bound on the exact nullity (a nonzero minor
   mod p is nonzero exactly).  Candidate nullspace vectors are lifted by
   Vandermonde coefficient extraction, CRT and rational reconstruction, and
-  then verified exactly: the residual A·x is an integer vector in the
-  group algebra whose coefficients have a provable a-priori bound, so
-  checking that it vanishes modulo (p, Phi_l) for a prime product exceeding
-  twice that bound proves it vanishes in Z[zeta_l].  Verified independent
-  solutions bound the nullity from below; when the bounds meet, the
-  dimension is certified exact.
+  then verified exactly; verified independent solutions bound the nullity
+  from below, and when the bounds meet the dimension is certified exact.
+
+Verification rests on the norm.  Each entry of A has group-algebra
+coefficients of l1 norm at most coeff_l1_bound, and each entry x_j of a
+vector has integer coefficients of l1 norm ||x_j||_1.  Since |zeta^e| = 1
+under every complex embedding sigma, an entry r of the residual A·x obeys
+
+    |sigma(r)| <= ncols * coeff_l1_bound * max_j ||x_j||_1 =: B_1.
+
+Because p = 1 (mod l), p splits completely in Z[zeta_l]: the phi(l)
+evaluations zeta -> r^t mod p are the reductions modulo the phi(l) primes
+above p, whose product is pZ[zeta_l].  If r vanishes at all of them for
+every prime in a set whose product is P, then P divides r, so r / P lies
+in Z[zeta_l] and every conjugate has modulus at most B_1 / P.  With
+P > B_1 the norm N(r / P), an integer, has modulus below 1, hence is 0,
+and r = 0.  No reduction modulo Phi_l is needed for the bound.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationFailed, RankAmbiguous
-from .scalars import cyclotomic_poly, factorize
+from .scalars import factorize, root_reduction_table
 
 # ---------------------------------------------------------------------------
 # small dense exact routines
@@ -41,6 +52,8 @@ def bareiss_det(rows):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -292,20 +305,6 @@ def _primitive_residues(level):
     return [t for t in range(level) if math.gcd(t, level) == 1]
 
 
-def _phi_reduction_bound(raw_bound, level):
-    """Worst-case coefficient bound after reduction modulo Phi_level."""
-    phi = cyclotomic_poly(level)
-    deg = len(phi) - 1
-    b = [int(raw_bound)] * level
-    for i in range(level - 1, deg - 1, -1):
-        c = b[i]
-        if c:
-            for j in range(deg + 1):
-                b[i - deg + j] += c * abs(phi[j])
-            b[i] = 0
-    return max(b[:deg]) if deg else 0
-
-
 def _max_safe_prime(ncols):
     return math.isqrt((1 << 53) // max(ncols + 1, 2))
 
@@ -342,12 +341,11 @@ def _lift_basis(system, primes, roots, residues):
     """Lift the exact RREF nullspace from eliminations at each (p, t).
 
     residues[p][t] is a finalized ModRREF.  Returns a list of integer
-    ndarrays (ncols, level), denominators cleared per vector, plus the max
-    absolute coefficient over all vectors.
+    ndarrays (ncols, level), denominators cleared per vector.
     """
     level = max(system.level, 1)
     T = _primitive_residues(level)
-    phideg = len(cyclotomic_poly(level)) - 1
+    phideg = root_reduction_table(level).shape[1]
     ref = residues[primes[0]][T[0]]
     pivcols = list(ref.piv)
     freecols = [c for c in range(system.ncols) if c not in set(pivcols)]
@@ -369,7 +367,6 @@ def _lift_basis(system, primes, roots, residues):
                         for c in coeffs]
     # CRT + rational reconstruction entry by entry
     entries = {}
-    max_den = 1
     for i in range(rank):
         for j in range(nfree):
             coeffs = []
@@ -388,10 +385,7 @@ def _lift_basis(system, primes, roots, residues):
                 nonzero = True
             if nonzero:
                 entries[(i, j)] = coeffs
-                for c in coeffs:
-                    max_den = max(max_den, c.denominator)
     basis = []
-    maxabs = 1
     for j in range(nfree):
         den = 1
         for i in range(rank):
@@ -405,10 +399,8 @@ def _lift_basis(system, primes, roots, residues):
                 for jc, c in enumerate(entries[(i, j)]):
                     if c:
                         vec[pivcols[i], jc] = -c * den
-        vec = np.vectorize(int, otypes=[object])(vec)
-        maxabs = max(maxabs, int(np.abs(vec.astype(np.float64)).max()) + 1)
-        basis.append(vec)
-    return basis, maxabs
+        basis.append(np.vectorize(int, otypes=[object])(vec))
+    return basis
 
 
 def _chunk_has_residual(chunk, XtT, p):
@@ -427,19 +419,25 @@ def _chunk_has_residual(chunk, XtT, p):
     return bool(np.mod(arr @ XtT, p).any())
 
 
-def _verify_basis(system, basis, maxabs, prime_pool, tags):
+def _verify_basis(system, basis, prime_pool, tags):
     """Exact verification of A·x = 0 for every basis vector.
 
-    Checks the residual modulo (p, Phi_l) for enough primes that the true
-    integer coefficients (bounded a priori) are pinned to zero.
+    Checks each residual entry at every embedding zeta -> r^t modulo the
+    leading primes of the pool, taking primes until their product P
+    exceeds B_1 = ncols * coeff_l1_bound * max_j ||x_j||_1, where
+    ||x_j||_1 is the l1 norm of an entry's coefficients, read from the
+    vectors.  A nonzero residual entry r has |sigma(r)| <= B_1 at every
+    complex embedding; vanishing at all phi(l) embeddings modulo each
+    prime makes P divide r, and then the integer norm of r / P has
+    modulus below 1.  So it is 0, and r = 0 (see the module docstring).
     """
     if not basis:
         return True
     level = max(system.level, 1)
     T = _primitive_residues(level)
-    raw = system.ncols * system.coeff_l1_bound * maxabs
-    bound = 2 * _phi_reduction_bound(raw, level) + 1
     X = np.array([np.asarray(v, dtype=object) for v in basis], dtype=object)
+    bound = system.ncols * system.coeff_l1_bound * int(
+        np.abs(X).sum(axis=-1).max())
     prod = 1
     used = []
     for p in prime_pool:
@@ -498,13 +496,9 @@ def certified_nullity(system, candidates=None):
     if candidates is not None:
         n_cand = len(candidates)
         target = ncols - n_cand
-        maxabs = 1
-        for v in candidates:
-            arr = np.asarray(v, dtype=object)
-            maxabs = max(maxabs, int(np.abs(arr.astype(np.float64)).max()) + 1)
         ok = n_cand == 0 or (
             _independent_mod(candidates, pool[0], level)
-            and _verify_basis(system, candidates, maxabs, pool, tags)
+            and _verify_basis(system, candidates, pool, tags)
         )
         if ok:
             p = pool[0]
@@ -536,11 +530,11 @@ def certified_nullity(system, candidates=None):
             next_idx = attempt + 1
             while True:
                 try:
-                    basis, maxabs = _lift_basis(system, primes, roots, residues)
+                    basis = _lift_basis(system, primes, roots, residues)
                 except _LiftFailure:
                     basis = None
                 if basis is not None and _verify_basis(
-                    system, basis, maxabs, pool, tags
+                    system, basis, pool, tags
                 ):
                     tags.append(f"lift-primes={len(primes)}")
                     return NullityCertificate(ncols - rank, level, basis, tags)

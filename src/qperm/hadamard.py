@@ -12,7 +12,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,9 +28,9 @@ from .errors import (
 from .scalars import (
     DEFAULT_TOL,
     NormVerdict,
-    cyclotomic_poly,
     factorize,
     hermitian_norm_solvable,
+    root_reduction_table,
 )
 
 LEVEL_INFINITE = math.inf
@@ -115,7 +114,7 @@ class Hadamard:
     def failing_pair(self, tol=DEFAULT_TOL):
         """First non-orthogonal row pair, or None."""
         if self.is_exact:
-            table = _root_reduction_table(self.level)
+            table = root_reduction_table(self.level)
             for i in range(self.n):
                 for j in range(i + 1, self.n):
                     d = (self.exponents[i] - self.exponents[j]) % self.level
@@ -131,27 +130,6 @@ class Hadamard:
         form = f"level={self.level}" if self.is_exact else "complex"
         tag = f", {self.provenance}" if self.provenance else ""
         return f"Hadamard(n={self.n}, {form}{tag})"
-
-
-@lru_cache(maxsize=None)
-def _root_reduction_table(level):
-    """Integer coefficient vectors of zeta^e mod the cyclotomic polynomial.
-
-    Row e is x^e mod Phi_level in the power basis; each row is the previous
-    one shifted up a degree with its overflow reduced by the monic Phi.
-    The table is cached per level and read-only.
-    """
-    phi = np.array(cyclotomic_poly(level), dtype=np.int64)
-    deg = len(phi) - 1
-    table = np.zeros((level, deg), dtype=np.int64)
-    row = np.zeros(deg, dtype=np.int64)
-    row[0] = 1
-    for e in range(level):
-        table[e] = row
-        top = row[-1]
-        row = np.concatenate(([0], row[:-1])) - top * phi[:-1]
-    table.flags.writeable = False
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +695,7 @@ class EnumerationResult:
 
 def _zero_sum_pool(n, lev):
     """All vectors e in [lev]^{n-1} with 1 + sum zeta^{e_j} = 0, sorted."""
-    table = _root_reduction_table(lev)
+    table = root_reduction_table(lev)
     pool = []
     for tup in itertools.product(range(lev), repeat=n - 1):
         acc = table[0].copy()

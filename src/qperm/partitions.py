@@ -283,6 +283,21 @@ def integrate_monomial(family, n, i, j):
     return total
 
 
+def _gram_is_singular(family, k, n):
+    """Whether G_kn is singular, decided without inverting it.
+
+    For ALL, det G = prod over partitions of the falling factorial (n)_|tau|,
+    which vanishes exactly when n < k.  For NONCROSSING with n >= 4 every
+    factor of gram_det_free is positive.  Otherwise the exact determinant
+    decides.
+    """
+    if family is PartitionFamily.ALL:
+        return n < k
+    if family is PartitionFamily.NONCROSSING and n >= 4:
+        return False
+    return gram_det_exact(family, k, n) == 0
+
+
 def char_moment(family, n, k):
     """Exact k-th moment of the main character, Tr(G_kn W_kn).
 
@@ -291,10 +306,11 @@ def char_moment(family, n, k):
     """
     if k == 0:
         return Fraction(1)
-    gw = gram_weingarten(family, k, n)
-    if gw.is_singular:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if _gram_is_singular(family, k, n):
         raise SingularGram(f"Gram matrix singular for k={k}, n={n}")
-    return Fraction(len(gw.partitions))
+    return Fraction(len(enum_partitions(k, family)))
 
 
 def truncated_char_moment(family, n, s, k):

@@ -28,8 +28,8 @@ from .errors import (
     NotHadamard,
     ShapeMismatch,
 )
-from .hadamard import Hadamard, _root_reduction_table
-from .scalars import DEFAULT_TOL
+from .hadamard import Hadamard
+from .scalars import DEFAULT_TOL, root_reduction_table
 
 _DEFAULT_BUDGET = 10_000_000_000
 
@@ -199,7 +199,7 @@ def check_magic(u, tol=DEFAULT_TOL):
         return MagicReport(ok, False, *vals, tuple(int(x) for x in worst))
 
     lev = u.level
-    table = _root_reduction_table(lev)
+    table = root_reduction_table(lev)
     c = u.coeffs.reshape(n * n, d, d, lev)
     csh = _shifted(c)
     prods = _ga_products(c, csh)
@@ -626,7 +626,7 @@ def image_commutative(h, tol=DEFAULT_TOL):
     n, d = magic.n, magic.dim
     if magic.is_exact:
         lev = magic.level
-        table = _root_reduction_table(lev)
+        table = root_reduction_table(lev)
         c = magic.coeffs.reshape(n * n, d, d, lev)
         csh = _shifted(c)
         ab = _ga_products(c, csh)

@@ -1,21 +1,24 @@
-"""Exact cyclotomic scalars and the float comparison policy.
+"""Exact arithmetic in Z[zeta_l] and the float comparison policy.
 
-Elements of Q(zeta_l) are stored in the group-algebra basis {zeta_l^j : 0 <= j < l},
-so multiplication is index addition and conjugation is index reversal.  Zero testing
-reduces the coefficient vector modulo the l-th cyclotomic polynomial, which is the
-only step where the basis relations enter.
+An element of Z[zeta_l] is held as integer group-algebra coefficients
+{zeta_l^e : 0 <= e < l}: a Butson exponent e stands for zeta_l^e, so
+multiplication is index addition and conjugation is index reversal.  The
+relations among the roots enter in one place, the reduction modulo the l-th
+cyclotomic polynomial (`root_reduction_table`), through which the exact
+checks of `hadamard` and `quantum` test for zero.  The certified nullity
+engine tests instead at the embeddings zeta -> r modulo primes; it needs
+only the power-basis degree phi(l), the width of the same table.  The
+norm-form solvers decide which integers are |d|^2 for d in Z[zeta_l] at
+the orders where that is classical.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ShapeMismatch
+import numpy as np
 
 #: Default absolute tolerance for float comparisons across the package.
 DEFAULT_TOL = 1e-9
@@ -62,203 +65,27 @@ def cyclotomic_poly(order):
     return tuple(poly)
 
 
-def euler_phi(order):
-    return len(cyclotomic_poly(order)) - 1
+@lru_cache(maxsize=None)
+def root_reduction_table(level):
+    """Integer coefficient vectors of zeta^e mod the cyclotomic polynomial.
 
-
-def reduce_mod_cyclotomic(coeffs, order):
-    """Reduce a length-order coefficient vector modulo Phi_order.
-
-    Input entries may be ints or Fractions; the return value is a tuple of
-    length euler_phi(order) giving the element in the power basis
-    {1, zeta, ..., zeta^(phi-1)}.
+    Row e is x^e mod Phi_level in the power basis, so a group-algebra
+    coefficient vector c (length level) reduces to c @ table, of length
+    phi(level), and vanishes there exactly when sum_e c_e zeta^e = 0.
+    Each row is the previous one shifted up a degree with its overflow
+    reduced by the monic Phi.  The table is cached per level and read-only.
     """
-    phi = cyclotomic_poly(order)
+    phi = np.array(cyclotomic_poly(level), dtype=np.int64)
     deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        # phi is monic: subtract c * x^(i-deg) * phi
-        for j in range(deg + 1):
-            work[i - deg + j] -= c * phi[j]
-    work = work[:deg]
-    work += [0] * (deg - len(work))
-    return tuple(work)
-
-
-# ---------------------------------------------------------------------------
-# CycloScalar
-# ---------------------------------------------------------------------------
-
-def _promote(coeffs, order, target):
-    """Re-express coefficients of Q(zeta_order) in the order-target basis."""
-    if order == target:
-        return list(coeffs)
-    step = target // order
-    out = [Fraction(0)] * target
-    for j, c in enumerate(coeffs):
-        out[j * step] += c
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class CycloScalar:
-    """An element of Q(zeta_order) as group-algebra coefficients."""
-
-    order: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if len(self.coeffs) != self.order:
-            raise ShapeMismatch(
-                f"expected {self.order} coefficients, got {len(self.coeffs)}"
-            )
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, order=1):
-        return cls(order, (Fraction(0),) * order)
-
-    @classmethod
-    def one(cls, order=1):
-        return cls.from_rational(1, order)
-
-    @classmethod
-    def from_rational(cls, value, order=1):
-        coeffs = [Fraction(0)] * order
-        coeffs[0] = Fraction(value)
-        return cls(order, tuple(coeffs))
-
-    # -- ring ops -------------------------------------------------------
-
-    def _with(self, other):
-        if isinstance(other, CycloScalar):
-            target = math.lcm(self.order, other.order)
-            return (
-                _promote(self.coeffs, self.order, target),
-                _promote(other.coeffs, other.order, target),
-                target,
-            )
-        other = CycloScalar.from_rational(other, 1)
-        return self._with(other)
-
-    def __add__(self, other):
-        a, b, target = self._with(other)
-        return CycloScalar(target, tuple(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloScalar(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, CycloScalar)
-                       else CycloScalar.from_rational(-Fraction(other), 1))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        a, b, target = self._with(other)
-        out = [Fraction(0)] * target
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % target] += x * y
-        return CycloScalar(target, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = CycloScalar.one(self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
-
-    def conjugate(self):
-        out = [Fraction(0)] * self.order
-        for j, c in enumerate(self.coeffs):
-            out[(-j) % self.order] = c
-        return CycloScalar(self.order, tuple(out))
-
-    def norm_squared(self):
-        """|z|^2 as a CycloScalar (rational for low orders)."""
-        return self * self.conjugate()
-
-    # -- predicates ------------------------------------------------------
-
-    def is_zero(self):
-        return not any(reduce_mod_cyclotomic(self.coeffs, self.order))
-
-    def is_rational(self):
-        reduced = reduce_mod_cyclotomic(self.coeffs, self.order)
-        return all(c == 0 for c in reduced[1:])
-
-    def rational_value(self):
-        reduced = reduce_mod_cyclotomic(self.coeffs, self.order)
-        if any(c != 0 for c in reduced[1:]):
-            raise ValueError("not a rational element")
-        return reduced[0]
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloScalar.from_rational(other, 1)
-        if not isinstance(other, CycloScalar):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    # -- evaluation -------------------------------------------------------
-
-    def evaluate(self):
-        return sum(
-            c * cmath.exp(2j * math.pi * j / self.order)
-            for j, c in enumerate(self.coeffs)
-            if c
-        ) + 0j
-
-    def __repr__(self):
-        terms = [
-            (f"{c}" if j == 0 else f"{c}*z{self.order}^{j}")
-            for j, c in enumerate(self.coeffs)
-            if c
-        ]
-        return "CycloScalar(" + (" + ".join(terms) if terms else "0") + ")"
-
-
-def cyclo_root(order, exponent=1):
-    """zeta_order^exponent as a CycloScalar."""
-    coeffs = [Fraction(0)] * order
-    coeffs[exponent % order] = Fraction(1)
-    return CycloScalar(order, tuple(coeffs))
-
-
-def cyclo_is_zero(x):
-    return x.is_zero()
-
-
-def cyclo_eval(x):
-    return x.evaluate()
+    table = np.zeros((level, deg), dtype=np.int64)
+    row = np.zeros(deg, dtype=np.int64)
+    row[0] = 1
+    for e in range(level):
+        table[e] = row
+        top = row[-1]
+        row = np.concatenate(([0], row[:-1])) - top * phi[:-1]
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,19 @@ def test_classical_moments_refuse_singular_rank():
         char_moment(ALL, 2, 3)
 
 
+def test_char_moment_singularity_matches_inversion():
+    """char_moment decides singularity without inverting; W is the oracle."""
+    for fam in (ALL, NC, PartitionFamily.EVEN_NONCROSSING):
+        for n in range(1, 10):
+            for k in range(7):
+                gw = gram_weingarten(fam, k, n)
+                if gw.is_singular:
+                    with pytest.raises(SingularGram):
+                        char_moment(fam, n, k)
+                else:
+                    assert char_moment(fam, n, k) == len(gw.partitions)
+
+
 def test_gram_det_formulas_match_exact():
     for k in range(1, 5):
         for n in (4, 5, 8):

@@ -1,91 +1,32 @@
-"""Exact cyclotomic scalar arithmetic and norm-equation tests."""
+"""The reduction modulo the cyclotomic polynomial and norm-equation tests."""
 
 import cmath
 import math
-from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qperm.scalars import (
-    CycloScalar,
     NormVerdict,
-    cyclo_eval,
-    cyclo_is_zero,
-    cyclo_root,
-    euler_phi,
     factorize,
     hermitian_norm_solvable,
     hermitian_norm_witness,
-    reduce_mod_cyclotomic,
+    root_reduction_table,
 )
 
-orders = st.integers(min_value=1, max_value=24)
-small_coeffs = st.lists(st.integers(-5, 5), min_size=1, max_size=8)
 
-
-def scalar_from(order, ints):
-    coeffs = tuple(Fraction(c) for c in ints[:order])
-    coeffs += (Fraction(0),) * (order - len(coeffs))
-    return CycloScalar(order, coeffs)
-
-
-@given(orders, st.integers(-100, 100))
-def test_root_exponent_periodicity(order, e):
-    a = cyclo_root(order, e)
-    b = cyclo_root(order, e % order)
-    assert cyclo_is_zero(a - b)
-
-
-@given(orders, small_coeffs, small_coeffs, small_coeffs)
-@settings(max_examples=120)
-def test_ring_laws(order, xs, ys, zs):
-    a, b, c = (scalar_from(order, v) for v in (xs, ys, zs))
-    assert ((a * b) * c - a * (b * c)).is_zero()
-    assert (a * (b + c) - (a * b + a * c)).is_zero()
-    assert ((a + b) - (b + a)).is_zero()
-    assert (a * b - b * a).is_zero()
-
-
-@given(orders, small_coeffs, small_coeffs)
-@settings(max_examples=120)
-def test_eval_is_homomorphism(order, xs, ys):
-    a, b = scalar_from(order, xs), scalar_from(order, ys)
-    assert cyclo_eval(a * b) == pytest.approx(cyclo_eval(a) * cyclo_eval(b),
-                                              abs=1e-9)
-    assert cyclo_eval(a + b) == pytest.approx(cyclo_eval(a) + cyclo_eval(b),
-                                              abs=1e-9)
-
-
-@given(orders, st.integers(0, 200))
-def test_root_evaluates_to_unit_circle(order, e):
-    z = cyclo_eval(cyclo_root(order, e))
-    assert abs(z - cmath.exp(2j * math.pi * e / order)) < 1e-9
-
-
-def test_reduce_mod_cyclotomic_preserves_value():
-    for order in (4, 5, 6, 8, 9, 12):
-        poly = list(range(1, 2 * order + 1))
-        reduced = reduce_mod_cyclotomic([Fraction(c) for c in poly], order)
-        assert len(reduced) == euler_phi(order)
-        z = cmath.exp(2j * math.pi / order)
-        direct = sum(c * z ** i for i, c in enumerate(poly))
-        after = sum(float(c) * z ** i for i, c in enumerate(reduced))
-        assert abs(direct - after) < 1e-8
-
-
-def test_norm_squared_matches_float():
-    a = cyclo_root(12, 1) + cyclo_root(12, 5) * CycloScalar.from_rational(
-        Fraction(2), 12)
-    n2 = a.norm_squared()
-    assert n2.is_rational()
-    assert abs(float(n2.rational_value()) - abs(cyclo_eval(a)) ** 2) < 1e-9
-
-
-def test_conjugate_inverts_roots():
-    a = cyclo_root(7, 3)
-    assert cyclo_is_zero(a * a.conjugate() - CycloScalar.one(7))
+def test_reduction_table_preserves_value():
+    for level in list(range(1, 25)) + [105, 210]:
+        table = root_reduction_table(level)
+        units = [t for t in range(level) if math.gcd(t, level) == 1]
+        assert table.shape == (level, len(units))
+        assert table.dtype == np.int64 and not table.flags.writeable
+        for t in units:
+            z = cmath.exp(2j * math.pi * t / level)
+            powers = z ** np.arange(table.shape[1])
+            for e in range(level):
+                scale = 1 + np.abs(table[e]).sum()
+                assert abs(table[e] @ powers - z ** e) < 1e-9 * scale
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
@@ -103,5 +44,6 @@ def test_norm_inconclusive_outside_euclidean_orders():
 
 def test_factorize_and_phi():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
-    assert euler_phi(1) == 1
-    assert [euler_phi(k) for k in (2, 3, 4, 6, 12)] == [1, 2, 2, 2, 4]
+    assert root_reduction_table(1).shape[1] == 1
+    widths = [root_reduction_table(k).shape[1] for k in (2, 3, 4, 6, 12)]
+    assert widths == [1, 2, 2, 2, 4]
