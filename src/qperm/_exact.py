@@ -6,13 +6,23 @@ Two layers live here:
   elimination, rational matrix inversion) used by the partition module;
 
 * a certified nullity engine for large linear systems over Q(zeta_l).
-  Systems are streamed as row chunks evaluated modulo primes p = 1 (mod l)
-  at the images zeta -> r^t for every primitive residue t.  Elimination
-  modulo a prime gives an upper bound on the exact nullity (a nonzero minor
-  mod p is nonzero exactly).  Candidate nullspace vectors are lifted by
-  Vandermonde coefficient extraction, CRT and rational reconstruction, and
-  then verified exactly; verified independent solutions bound the nullity
-  from below, and when the bounds meet the dimension is certified exact.
+  Elimination modulo a prime gives an upper bound on the exact nullity (a
+  nonzero minor mod p is nonzero exactly).  Candidate nullspace vectors
+  are lifted by Vandermonde coefficient extraction, CRT and rational
+  reconstruction, and then verified exactly; verified independent
+  solutions bound the nullity from below, and when the bounds meet the
+  dimension is certified exact.
+
+A system A is never held whole.  It exposes `ncols`, `level`,
+`coeff_l1_bound` and two streams, both evaluated modulo a prime
+p = 1 (mod l) at an image zeta -> root:
+
+* `chunks_modp(p, root)` yields row chunks of A, which elimination reads;
+* `residuals_modp(p, root, X)` yields blocks whose rows, together, are
+  the rows of A·X mod p, for X of shape (ncols, nvec) with entries in
+  [0, p).  Verification reads only these, so a system may compute them
+  without building its rows; `residuals_from_chunks` derives them from
+  the chunk stream.
 
 Verification rests on the norm.  Each entry of A has group-algebra
 coefficients of l1 norm at most coeff_l1_bound, and each entry x_j of a
@@ -310,16 +320,17 @@ def _max_safe_prime(ncols):
 
 
 def _eval_vectors_mod(vectors, p, r, level):
-    """Evaluate integer cyclo vectors (n, ncols, level) at zeta -> r mod p."""
-    pows = np.array([pow(r, j, p) for j in range(level)], dtype=np.float64)
-    # vectors entries can exceed the float53 product bound only for wild
-    # lifts; reduce coefficients mod p first with python ints if needed
-    maxabs = int(np.abs(vectors).max()) if vectors.size else 0
-    if maxabs * (p - 1) * max(level, 1) < (1 << 53):
-        out = np.mod(vectors.astype(np.float64) @ pows, p)
-    else:
-        red = np.mod(vectors.astype(object), p).astype(np.float64)
-        out = np.mod(red @ pows, p)
+    """Evaluate integer cyclo vectors (n, ncols, level) at zeta -> r mod p.
+
+    Coefficients are reduced mod p first, in exact integers.  Partial sums
+    of at most `step` products below p^2 keep the int64 sums exact.
+    """
+    pows = np.array([pow(r, j, p) for j in range(level)], dtype=np.int64)
+    red = np.mod(vectors, p).astype(np.int64)
+    step = ((1 << 63) - p) // (p - 1) ** 2
+    out = np.zeros(red.shape[:-1], dtype=np.int64)
+    for s in range(0, level, step):
+        out = (out + red[..., s:s + step] @ pows[s:s + step]) % p
     return out
 
 
@@ -403,33 +414,38 @@ def _lift_basis(system, primes, roots, residues):
     return basis
 
 
-def _chunk_has_residual(chunk, XtT, p):
-    """True when chunk @ XtT is nonzero mod p; gathers nonzeros when sparse."""
-    arr = np.asarray(chunk, dtype=np.float64)
-    mask = arr != 0
-    nnz = int(np.count_nonzero(mask))
-    if nnz == 0:
-        return False
-    if nnz * 16 < arr.size:
-        rows, cols = np.nonzero(mask)
-        partial = arr[rows, cols, None] * XtT[cols, :]
-        resid = np.zeros((arr.shape[0], XtT.shape[1]))
-        np.add.at(resid, rows, partial)
-        return bool(np.mod(resid, p).any())
-    return bool(np.mod(arr @ XtT, p).any())
+def residuals_from_chunks(chunks, X, p):
+    """Yield chunk @ X mod p for each chunk; gathers nonzeros when sparse.
+
+    X has shape (ncols, nvec) with entries in [0, p); the float64 products
+    are exact for ncols * p^2 < 2^53, which the engine's primes satisfy.
+    """
+    for chunk in chunks:
+        arr = np.asarray(chunk, dtype=np.float64)
+        mask = arr != 0
+        nnz = int(np.count_nonzero(mask))
+        if nnz * 16 < arr.size:
+            rows, cols = np.nonzero(mask)
+            resid = np.zeros((arr.shape[0], X.shape[1]))
+            np.add.at(resid, rows, arr[rows, cols, None] * X[cols, :])
+            yield np.mod(resid, p)
+        else:
+            yield np.mod(arr @ X, p)
 
 
 def _verify_basis(system, basis, prime_pool, tags):
     """Exact verification of A·x = 0 for every basis vector.
 
-    Checks each residual entry at every embedding zeta -> r^t modulo the
-    leading primes of the pool, taking primes until their product P
-    exceeds B_1 = ncols * coeff_l1_bound * max_j ||x_j||_1, where
-    ||x_j||_1 is the l1 norm of an entry's coefficients, read from the
-    vectors.  A nonzero residual entry r has |sigma(r)| <= B_1 at every
-    complex embedding; vanishing at all phi(l) embeddings modulo each
-    prime makes P divide r, and then the integer norm of r / P has
-    modulus below 1.  So it is 0, and r = 0 (see the module docstring).
+    Checks each residual entry, read from system.residuals_modp, at
+    every embedding zeta -> r^t modulo the leading primes of the pool,
+    taking primes until their product P exceeds
+    B_1 = ncols * coeff_l1_bound * max_j ||x_j||_1, where ||x_j||_1 is
+    the l1 norm of an entry's coefficients, read from the vectors.  The
+    rows of A are never needed, only A·x.  A nonzero residual entry r
+    has |sigma(r)| <= B_1 at every complex embedding; vanishing at all
+    phi(l) embeddings modulo each prime makes P divide r, and then the
+    integer norm of r / P has modulus below 1.  So it is 0, and r = 0
+    (see the module docstring).
     """
     if not basis:
         return True
@@ -454,8 +470,8 @@ def _verify_basis(system, basis, prime_pool, tags):
             rt = pow(r, t, p)
             Xt = _eval_vectors_mod(X, p, rt, level)  # (nvec, ncols)
             XtT = np.ascontiguousarray(Xt.T)
-            for chunk in system.chunks_modp(p, rt):
-                if _chunk_has_residual(chunk, XtT, p):
+            for block in system.residuals_modp(p, rt, XtT):
+                if block.any():
                     return False
     return True
 
@@ -477,11 +493,12 @@ _MAX_LIFT_PRIMES = 6
 def certified_nullity(system, candidates=None):
     """Certified exact nullity of a streamed system over Q(zeta_l).
 
-    `system` exposes ncols, level, coeff_l1_bound and chunks_modp(p, r).
-    When `candidates` (exact integer cyclo vectors known to be independent
-    solutions elsewhere) are supplied, they are verified against *this*
-    system and the rank bound uses early stopping; on any failure the full
-    independent protocol runs.
+    `system` exposes ncols, level, coeff_l1_bound, chunks_modp(p, root)
+    for elimination and residuals_modp(p, root, X) for verification (see
+    the module docstring).  When `candidates` (exact integer cyclo vectors
+    known to be independent solutions elsewhere) are supplied, they are
+    verified against *this* system and the rank bound uses early stopping;
+    on any failure the full independent protocol runs.
     """
     ncols = system.ncols
     level = max(system.level, 1)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import certified_nullity, float_nullity
+from ._exact import certified_nullity, float_nullity, residuals_from_chunks
 from .errors import (
     BudgetExceeded,
     MalformedMatrix,
@@ -350,6 +350,32 @@ def _boundary_chain(G4, steps, e0, e1, f0, f1, p=None):
     return out % p if p is not None else out
 
 
+def _boundary_chain_apply(G4, steps, e0, f0, Y, p):
+    """Boundary chains times Y modulo p, for every end pair (e1, f1).
+
+    Returns R[e1, f1, M, c] = sum_B K[M, B] * Y[B, c] (mod p), where K is
+    `_boundary_chain(G4, steps, e0, e1, f0, f1)` and Y has shape
+    (n^steps, C) with entries in [0, p).  The chain is an operator of
+    bond (m_t, b_t): Y is multiplied by the first factor and then
+    contracted one b-site at a time, so K is never formed.  Every step
+    sums n products of residues below p < 2^26, which int64 holds exactly;
+    the last one is left unreduced, below n * p^2, for the caller.
+    """
+    n = G4.shape[0]
+    if steps == 0:
+        return G4[:, e0, :, f0][:, :, None, None] * Y
+    # W[a, m_t, b_t, rest]: a packs m_1..m_{t-1}, rest packs b_{t+1}..b_s, c
+    W = G4[:, e0, :, f0][None, :, :, None] * Y.reshape(1, 1, n, -1) % p
+    for _ in range(steps - 1):
+        a = W.shape[0]
+        W = W.reshape(a, n, n, n, -1)
+        W = np.einsum("apqsc,mpsq->apmsc", W, G4) % p
+        W = W.reshape(a * n, n, n, -1)
+    a = W.shape[0]
+    out = np.einsum("apqc,epfq->efapc", W, G4)
+    return out.reshape(n, n, a * n, -1)
+
+
 def g_power(gt, k):
     """Chain matrix of a G tensor on k-fold multi-indices.
 
@@ -427,6 +453,9 @@ class _FixSystem:
     def chunks_complex(self):
         return self._chunks(self.magic.blocks, 1.0, None)
 
+    def residuals_modp(self, p, root, X):
+        return residuals_from_chunks(self.chunks_modp(p, root), X, p)
+
 
 class _HomSystem:
     """Streamed system whose nullspace carries the (k, l) intertwiners.
@@ -436,6 +465,8 @@ class _HomSystem:
     chains of matching lengths.  One chunk is produced per choice of the
     four pinned boundary indices (row endpoints e0, e1 and column
     endpoints f0, f1), giving n^4 chunks of n^(k+l) equations each.
+    Verification skips the chunks: residuals_modp contracts the chains
+    against the candidate T directly.
     """
 
     def __init__(self, h, k, l):
@@ -483,6 +514,34 @@ class _HomSystem:
         n = self.n
         return self._chunks(self.gt.values, n ** (self.k + 1),
                             n ** (self.l + 1), None)
+
+    def residuals_modp(self, p, root, X):
+        """Residuals A·X mod p, contracted from the chains, rows unbuilt.
+
+        X has shape (ncols, nvec) with entries in [0, p); column v is
+        vec(T_v) for T_v of shape n^l x n^k.  The chunk of boundary tuple
+        (e0, e1, f0, f1) applied to T is s1*T*K1 - s2*K2*T, with K1, K2
+        its chains of k and l steps.  One block is yielded per (e0, f0),
+        its rows ordered (e1, f1, I, J) with chunk row I*n^k + J.  T*K1
+        is the transpose of a chain of G with the m and b axes swapped,
+        whose endpoints swap with them.
+        """
+        n, k, l = self.n, self.k, self.l
+        nk, nl = n ** k, n ** l
+        nvec = X.shape[1]
+        g4 = self.gt.modp(p, root)
+        g4t = np.ascontiguousarray(g4.transpose(2, 3, 0, 1))
+        X = np.asarray(X, dtype=np.int64).reshape(nl, nk, nvec)
+        # the scalars s1, s2 ride on T, where they cost n^(k+l) products
+        T2 = (pow(n, self.s2_pow, p) * X % p).reshape(nl, -1)
+        T1 = (pow(n, self.s1_pow, p) * X % p).transpose(1, 0, 2)
+        T1 = np.ascontiguousarray(T1).reshape(nk, -1)
+        for e0, f0 in itertools.product(range(n), repeat=2):
+            left = _boundary_chain_apply(g4, l, e0, f0, T2, p)
+            right = _boundary_chain_apply(g4t, k, f0, e0, T1, p)
+            right = right.reshape(n, n, nk, nl, nvec).transpose(1, 0, 3, 2, 4)
+            block = (right - left.reshape(n, n, nl, nk, nvec)) % p
+            yield block.reshape(-1, nvec)
 
 
 def _as_magic(obj):

@@ -4,15 +4,27 @@ A residual entry r of A·x is an algebraic integer with |sigma(r)| <= B_1 =
 ncols * coeff_l1_bound * max ||x_j||_1 at every embedding.  Verification
 checks r at every embedding modulo primes whose product must exceed B_1;
 these stubs sit on that boundary and on a single vanishing embedding.
+The evaluation of the vectors must itself be exact, and the Hom-space
+residuals, contracted from the G chains, must reject a basis that is off
+by one coefficient.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from qperm._exact import _verify_basis, primes_one_mod, unity_root_mod
-from qperm.hadamard import f6_two_three
-from qperm.quantum import fix_dim_direct
+from qperm._exact import (
+    _eval_vectors_mod,
+    _max_safe_prime,
+    _verify_basis,
+    certified_nullity,
+    primes_one_mod,
+    residuals_from_chunks,
+    unity_root_mod,
+)
+from qperm.hadamard import f6_two_three, fourier, tao
+from qperm.quantum import _HomSystem, fix_dim_direct
 
 
 class _OneEntry:
@@ -28,6 +40,9 @@ class _OneEntry:
     def chunks_modp(self, p, root):
         value = sum(c * pow(root, e, p) for e, c in enumerate(self.coeffs))
         yield np.array([[value % p]], dtype=np.int64)
+
+    def residuals_modp(self, p, root, X):
+        return residuals_from_chunks(self.chunks_modp(p, root), X, p)
 
 
 def _verify(entry, coeff_l1_bound):
@@ -73,3 +88,36 @@ def test_level_210_verifies_with_one_prime():
     constant[:, 0] = 1
     assert [b.tolist() for b in info["basis"]] == [constant.tolist()]
     assert info["tags"] == ["verify-primes=1", "lift-primes=1"]
+
+
+def test_eval_vectors_is_exact_for_large_coefficients():
+    # level * (p - 1)^2 exceeds 2^53 here, so a float64 dot product of
+    # the reduced coefficients would round.
+    level, p = 210, 15602371
+    r = unity_root_mod(p, level)
+    rng = np.random.default_rng(210)
+    vectors = rng.integers(-(1 << 40), 1 << 40, size=(3, 36, level))
+    vectors = vectors.astype(object)
+    got = _eval_vectors_mod(vectors, p, r, level)
+    for v in range(3):
+        for c in range(36):
+            expect = sum(int(x) * pow(r, e, p)
+                         for e, x in enumerate(vectors[v, c])) % p
+            assert got[v, c] == expect
+
+
+@pytest.mark.parametrize("h", [fourier(4), tao(), fourier(5)],
+                         ids=lambda h: h.provenance)
+def test_hom_verification_rejects_a_perturbed_basis(h):
+    dim, info = fix_dim_direct(h, 2, return_info=True)
+    basis = info["basis"]
+    bad = [b.copy() for b in basis]
+    bad[0][0, 0] += 1
+    system = _HomSystem(h, 0, 2)
+    pool = primes_one_mod(h.level, min(_max_safe_prime(system.ncols),
+                                       1 << 26), 4)
+    assert _verify_basis(system, basis, pool, [])
+    assert not _verify_basis(system, bad, pool, [])
+    cert = certified_nullity(system, candidates=bad)
+    assert cert.dim == dim
+    assert "candidates-fallback" in cert.tags

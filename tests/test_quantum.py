@@ -6,6 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qperm._exact import (
+    _max_safe_prime,
+    _primitive_residues,
+    primes_one_mod,
+    unity_root_mod,
+)
 from qperm.errors import BudgetExceeded, NotHadamard
 from qperm.hadamard import (
     Hadamard,
@@ -19,6 +25,7 @@ from qperm.hadamard import (
     tensor,
 )
 from qperm.quantum import (
+    _HomSystem,
     check_magic,
     fix_dim_direct,
     g_power,
@@ -231,3 +238,36 @@ def test_float_rank_gap_is_comfortable():
     dim, info = fix_dim_direct(h, 2, return_info=True)
     assert dim == 2
     assert info["gap"] >= 10.0
+
+
+HOM_RESIDUAL_CASES = [
+    (fourier(2), k, l) for k in range(5) for l in range(5 - k)
+] + [
+    (fourier(3), 0, 3), (fourier(3), 1, 2), (fourier(3), 2, 2),
+    (fourier(4), 0, 3), (fourier(4), 1, 2), (fourier(4), 2, 0),
+    (fourier(5), 0, 3), (fourier(5), 2, 1),
+    (tao(), 0, 2), (tao(), 1, 1), (tao(), 2, 1),
+    (haagerup(Fraction(1, 4)), 0, 2), (haagerup(Fraction(1, 4)), 1, 1),
+    (f6_two_three(Fraction(1, 5), Fraction(2, 7)), 0, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "h,k,l", HOM_RESIDUAL_CASES,
+    ids=[f"{h.provenance}-{k}-{l}" for h, k, l in HOM_RESIDUAL_CASES])
+def test_hom_residuals_equal_built_chunks(h, k, l):
+    """Chain-contracted residuals equal chunk @ X over the built stream."""
+    system = _HomSystem(h, k, l)
+    n, level = h.n, h.level
+    p = primes_one_mod(level, min(_max_safe_prime(system.ncols), 1 << 26),
+                       1)[0]
+    r = unity_root_mod(p, level)
+    X = np.random.default_rng([n, k, l]).integers(0, p, (system.ncols, 3))
+    for t in _primitive_residues(level):
+        root = pow(r, t, p)
+        built = [c @ X % p for c in system.chunks_modp(p, root)]
+        built = np.array(built).reshape(n, n, n, n, -1, 3)  # e0 e1 f0 f1
+        blocks = list(system.residuals_modp(p, root, X))
+        assert len(blocks) == n * n
+        got = np.array(blocks).reshape(n, n, n, n, -1, 3)  # e0 f0 e1 f1
+        assert (got.transpose(0, 2, 1, 3, 4, 5) == built).all(), t
