@@ -143,6 +143,12 @@ def permutation_magic(perm):
                         provenance=f"perm{tuple(perm)}")
 
 
+def _root_powers(root, p, level):
+    """root^t mod p for t = 0..level-1: zeta^t at the image zeta -> root."""
+    return np.array([pow(int(root), t, p) for t in range(level)],
+                    dtype=np.int64)
+
+
 def _ga_products(a, ash):
     """All pairwise group-algebra block products.
 
@@ -281,8 +287,7 @@ class GTensor:
         """Entries evaluated at zeta -> root modulo p, as int64 in [0, p)."""
         key = (p, root)
         if key not in self._modp_cache:
-            rp = np.array([pow(int(root), t, p) for t in range(self.level)],
-                          dtype=np.int64)
+            rp = _root_powers(root, p, self.level)
             self._modp_cache[key] = (self.counts * rp).sum(axis=-1) % p
         return self._modp_cache[key]
 
@@ -311,69 +316,36 @@ def g_tensor(h):
                    provenance=h.provenance)
 
 
-def _extend_chain(S, G4, p=None):
-    """Append one index pair to a chain matrix.
+def _chain_apply(G4, steps, start, ends, zero, Y, p=None):
+    """Chains from one start factor to a stack of end factors, times Y.
 
-    S has shape (r, r) over (prefix, prefix'); the new entry at
-    ((prefix, m), (prefix', b)) is S[prefix, prefix'] * G4[m, last(prefix),
-    b, last(prefix')], with digits packed most-significant-first.
-    """
-    r = S.shape[0]
-    n = G4.shape[0]
-    ld = np.arange(r) % n
-    gsel = G4[:, ld][:, :, :, ld]  # [m, P, b, Q]
-    out = np.einsum("PQ,mPbQ->PmQb", S, gsel)
-    if p is not None:
-        out %= p
-    return out.reshape(r * n, r * n)
-
-
-def _boundary_chain(G4, steps, e0, e1, f0, f1, p=None):
-    """Chain of `steps` inner index pairs pinned to fixed endpoints.
-
-    Entry at (M, B) with M = (m_1..m_steps), B = (b_1..b_steps) is
-    G[m_1,e0,b_1,f0] * prod_t G[m_t,m_{t-1},b_t,b_{t-1}] *
-    G[e1,m_steps,f1,b_steps]; at steps = 0 it degenerates to the single
-    factor G[e1,e0,f1,f0].
-    """
-    if steps == 0:
-        out = np.array([[G4[e1, e0, f1, f0]]])
-        return out % p if p is not None else out
-    n = G4.shape[0]
-    S = G4[:, e0, :, f0].copy()
-    for _ in range(steps - 1):
-        S = _extend_chain(S, G4, p)
-    r = S.shape[0]
-    ld = np.arange(r) % n
-    fin = G4[e1, :, f1, :][np.ix_(ld, ld)]
-    out = S * fin
-    return out % p if p is not None else out
-
-
-def _boundary_chain_apply(G4, steps, e0, f0, Y, p):
-    """Boundary chains times Y modulo p, for every end pair (e1, f1).
-
-    Returns R[e1, f1, M, c] = sum_B K[M, B] * Y[B, c] (mod p), where K is
-    `_boundary_chain(G4, steps, e0, e1, f0, f1)` and Y has shape
-    (n^steps, C) with entries in [0, p).  The chain is an operator of
-    bond (m_t, b_t): Y is multiplied by the first factor and then
-    contracted one b-site at a time, so K is never formed.  Every step
-    sums n products of residues below p < 2^26, which int64 holds exactly;
-    the last one is left unreduced, below n * p^2, for the caller.
+    The chain K_e of `steps` inner index pairs has, at (M, B) with
+    M = (m_1..m_steps) and B = (b_1..b_steps) packed most-significant-first,
+    the entry start[m_1, b_1] * prod_{t>=2} G[m_t,m_{t-1},b_t,b_{t-1}] *
+    ends[e, m_steps, b_steps]; at steps = 0 it is the scalar zero[e].
+    Returns R[e, M, c] = sum_B K_e[M, B] * Y[B, c].  The chain is an
+    operator of bond (m_t, b_t): Y is multiplied by the start factor and
+    then contracted one b-site at a time, so K is never formed unless Y is
+    the identity.  Modulo p every step sums n products of residues below
+    p < 2^26, which int64 holds exactly; the last one is left unreduced,
+    below n * p^2, for the caller.  With p None the arithmetic is complex.
     """
     n = G4.shape[0]
     if steps == 0:
-        return G4[:, e0, :, f0][:, :, None, None] * Y
+        return zero[:, None, None] * Y
     # W[a, m_t, b_t, rest]: a packs m_1..m_{t-1}, rest packs b_{t+1}..b_s, c
-    W = G4[:, e0, :, f0][None, :, :, None] * Y.reshape(1, 1, n, -1) % p
+    W = start[None, :, :, None] * Y.reshape(1, 1, n, -1)
     for _ in range(steps - 1):
+        if p is not None:
+            W %= p
         a = W.shape[0]
         W = W.reshape(a, n, n, n, -1)
-        W = np.einsum("apqsc,mpsq->apmsc", W, G4) % p
+        W = np.einsum("apqsc,mpsq->apmsc", W, G4)
         W = W.reshape(a * n, n, n, -1)
-    a = W.shape[0]
-    out = np.einsum("apqc,epfq->efapc", W, G4)
-    return out.reshape(n, n, a * n, -1)
+    if p is not None:
+        W %= p
+    out = np.einsum("apqc,epq->eapc", W, ends)
+    return out.reshape(len(ends), W.shape[0] * n, -1)
 
 
 def g_power(gt, k):
@@ -389,10 +361,9 @@ def g_power(gt, k):
     if k < 2:
         raise ValueError("g_power needs k >= 2")
     n = gt.n
-    S = np.ones((n, n), dtype=np.complex128)
-    for _ in range(k - 1):
-        S = _extend_chain(S, gt.values)
-    return S
+    ones = np.ones((n, n), dtype=np.complex128)
+    return _chain_apply(gt.values, k, ones, ones[None], None,
+                        np.eye(n ** k, dtype=np.complex128))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +415,7 @@ class _FixSystem:
             yield V.reshape(nsuf * d * d, self.ncols)
 
     def chunks_modp(self, p, root):
-        rp = np.array([pow(int(root), t, p) for t in range(self.level)],
-                      dtype=np.int64)
+        rp = _root_powers(root, p, self.level)
         pm = (self.magic.coeffs * rp).sum(axis=-1) % p
         corr = pow(self.magic.den, self.k, p)
         return self._chunks(pm, corr, p)
@@ -462,11 +432,30 @@ class _HomSystem:
 
     Unknowns are the entries of the n^l x n^k matrix T; the equations
     state that sandwiching T with identity legs commutes with the G-index
-    chains of matching lengths.  One chunk is produced per choice of the
-    four pinned boundary indices (row endpoints e0, e1 and column
-    endpoints f0, f1), giving n^4 chunks of n^(k+l) equations each.
-    Verification skips the chunks: residuals_modp contracts the chains
-    against the candidate T directly.
+    chains of matching lengths.  The defining system has one chunk
+    s1*(I (x) K1^T) - s2*(K2 (x) I) per choice of the four pinned boundary
+    indices (row endpoints e0, e1 and column endpoints f0, f1), with K1,
+    K2 the chains of k and l steps: n^4 chunks of n^(k+l) equations each.
+
+    The stream yields the same row space from n^2 chunks.  Only the end
+    factors of a chain depend on the endpoints, and each is a sum over
+    the columns of H of rank-one factors:
+    G[m,e0,b,f0] = sum_j v_j(e0,f0) H_mj conj(H_bj) with
+    v_j = conj(H_e0j) H_f0j, G[e1,m,f1,b] = sum_c u_c(e1,f1) conj(H_mc) H_bc
+    with u_c = H_e1c conj(H_f1c), and at zero steps
+    G[e1,e0,f1,f0] = sum_c u_c v_c.  So the chunk of (e0, e1, f0, f1) is
+    sum_{j,c} v_j u_c C_jc, where C_jc is built from the chains that start
+    at H_.j conj(H_.j), end at conj(H_.c) H_.c and are delta_jc at zero
+    steps.  For a Hadamard H the columns V = (v_j), U = (u_c) satisfy
+    V*V = U*U = n^2 I, so the n^4 defining chunks are the image of the n^2
+    chunks n^2 C_jc under the isometry (V (x) U) / n^2.  Over C the stacked
+    singular values are therefore those of the defining system; modulo p
+    (p does not divide n) the row space is the same, and with it the
+    canonical RREF and every lifted basis.  One chunk is yielded per
+    (j, c), the chains of one start column j built together.
+
+    Verification does not use the stream: residuals_modp contracts the
+    defining chains against the candidate T directly.
     """
 
     def __init__(self, h, k, l):
@@ -486,34 +475,53 @@ class _HomSystem:
         else:
             self.coeff_l1_bound = None
 
-    def _chunks(self, g4, s1, s2, p):
-        """Chains scaled by s1, s2: multipliers mod p, divisors over C."""
+    def _chunks(self, g4, hm, hc, s1, s2, p):
+        """Chunks s1*(I (x) C1_jc^T) - s2*(C2_jc (x) I), per (j, c).
+
+        hm and hc are H and its conjugate (residues modulo p, or complex),
+        s1 and s2 the multipliers of the chains.
+        """
         n, k, l = self.n, self.k, self.l
         nk, nl = n ** k, n ** l
         idx = np.arange(nl)
         jdx = np.arange(nk)
-        for e0, e1, f0, f1 in itertools.product(range(n), repeat=4):
-            k1 = _boundary_chain(g4, k, e0, e1, f0, f1, p)
-            k2 = _boundary_chain(g4, l, e0, e1, f0, f1, p)
+        # starts[m, b, j] = H_mj conj(H_bj), ends[c, m, b] = conj(H_mc) H_bc
+        starts = hm[:, None, :] * hc[None, :, :]
+        ends = (hc[:, None, :] * hm[None, :, :]).transpose(2, 0, 1)
+        eye = np.eye(n, dtype=g4.dtype)
+        eye_k, eye_l = np.eye(nk, dtype=g4.dtype), np.eye(nl, dtype=g4.dtype)
+        if p is not None:
+            starts %= p
+            ends %= p
+        for j in range(n):
+            start = np.ascontiguousarray(starts[:, :, j])
+            k1 = _chain_apply(g4, k, start, ends, eye[j], eye_k, p)
+            k2 = _chain_apply(g4, l, start, ends, eye[j], eye_l, p)
             if p is None:
-                k1, k2 = k1 / s1, k2 / s2
+                k1, k2 = s1 * k1, s2 * k2
             else:
-                k1, k2 = (s1 * k1) % p, (s2 * k2) % p
-            a4 = np.zeros((nl, nk, nl, nk), dtype=k1.dtype)
-            a4[idx, :, idx, :] = k1.T
-            a4[:, jdx, :, jdx] -= k2
-            if p is not None:
-                a4 %= p
-            yield a4.reshape(nl * nk, nl * nk)
+                k1, k2 = s1 * (k1 % p) % p, s2 * (k2 % p) % p
+            for c in range(n):
+                a4 = np.zeros((nl, nk, nl, nk), dtype=k1.dtype)
+                a4[idx, :, idx, :] = k1[c].T
+                a4[:, jdx, :, jdx] -= k2[c]
+                if p is not None:
+                    a4 %= p
+                yield a4.reshape(nl * nk, nl * nk)
 
     def chunks_modp(self, p, root):
-        return self._chunks(self.gt.modp(p, root), pow(self.n, self.s1_pow, p),
+        rp = _root_powers(root, p, self.level)
+        E = self.h.exponents
+        return self._chunks(self.gt.modp(p, root), rp[E], rp[-E % self.level],
+                            pow(self.n, self.s1_pow, p),
                             pow(self.n, self.s2_pow, p), p)
 
     def chunks_complex(self):
-        n = self.n
-        return self._chunks(self.gt.values, n ** (self.k + 1),
-                            n ** (self.l + 1), None)
+        # n^2 C_jc against the defining divisors n^(k+1), n^(l+1)
+        hm = self.h.entries
+        return self._chunks(self.gt.values, hm, hm.conj(),
+                            self.n ** (1 - self.k), self.n ** (1 - self.l),
+                            None)
 
     def residuals_modp(self, p, root, X):
         """Residuals A·X mod p, contracted from the chains, rows unbuilt.
@@ -536,9 +544,16 @@ class _HomSystem:
         T2 = (pow(n, self.s2_pow, p) * X % p).reshape(nl, -1)
         T1 = (pow(n, self.s1_pow, p) * X % p).transpose(1, 0, 2)
         T1 = np.ascontiguousarray(T1).reshape(nk, -1)
+        # ends[(e1, f1), m, b] = G[e1, m, f1, b], and likewise for G^t
+        ends = g4.transpose(0, 2, 1, 3).reshape(n * n, n, n)
+        ends_t = g4t.transpose(0, 2, 1, 3).reshape(n * n, n, n)
         for e0, f0 in itertools.product(range(n), repeat=2):
-            left = _boundary_chain_apply(g4, l, e0, f0, T2, p)
-            right = _boundary_chain_apply(g4t, k, f0, e0, T1, p)
+            # at zero steps the chain is G[e1, e0, f1, f0], the start read
+            # at the end pair
+            start = g4[:, e0, :, f0]
+            left = _chain_apply(g4, l, start, ends, start.ravel(), T2, p)
+            start = g4t[:, f0, :, e0]
+            right = _chain_apply(g4t, k, start, ends_t, start.ravel(), T1, p)
             right = right.reshape(n, n, nk, nl, nvec).transpose(1, 0, 3, 2, 4)
             block = (right - left.reshape(n, n, nl, nk, nvec)) % p
             yield block.reshape(-1, nvec)
@@ -603,6 +618,7 @@ def hom_dim_via_g(h, k, l, tol=DEFAULT_TOL, return_info=False):
     if k < 0 or l < 0:
         raise ValueError("k and l must be nonnegative")
     n = h.n
+    # the stream's rows times its columns: n^2 chunks of n^(k+l) rows
     _check_budget(n ** (k + l + 2) * n ** (k + l), "hom-space system")
     dim, info = _hom_nullity(h, k, l, tol)
     return (dim, info) if return_info else dim
@@ -656,6 +672,7 @@ def invariants(h, kmax, method="both", tol=DEFAULT_TOL):
             basis = info.get("basis")
         d_g = None
         if need_g:
+            # rows times columns of the (0, k) stream, as in hom_dim_via_g
             _check_budget(h.n ** (k + 2) * h.n ** k, "hom-space system")
             d_g, _ = _hom_nullity(h, 0, k, tol, candidates=basis)
         if need_direct and need_g and d_dir != d_g:

@@ -1,5 +1,6 @@
 """Magic unitaries, Hom-space dimensions and invariant series tests."""
 
+import itertools
 import os
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qperm._exact import (
+    ModRREF,
     _max_safe_prime,
     _primitive_residues,
     primes_one_mod,
@@ -240,6 +242,53 @@ def test_float_rank_gap_is_comfortable():
     assert info["gap"] >= 10.0
 
 
+def _defining_chunks(g, n, k, l, s1, s2, p=None):
+    """The n^4 defining chunks of the Hom system, in (e0, e1, f0, f1) order.
+
+    Built from the entries of G alone: the chain of s steps at endpoints
+    (e0, e1, f0, f1) has entry G[m_1,e0,b_1,f0] * prod_t
+    G[m_t,m_{t-1},b_t,b_{t-1}] * G[e1,m_s,f1,b_s] at (M, B), and the
+    chunk is s1*(I (x) K1^T) - s2*(K2 (x) I).  Modulo p, s1 and s2 are
+    multipliers; over C (p None) they are divisors.
+    """
+    def red(x):
+        return x % p if p is not None else x
+
+    def chain(steps, e0, e1, f0, f1):
+        if steps == 0:
+            return red(np.array([[g[e1, e0, f1, f0]]]))
+        digits = np.array(list(itertools.product(range(n), repeat=steps)))
+        m, b = digits[:, None, :], digits[None, :, :]  # rows M, columns B
+        out = g[m[..., 0], e0, b[..., 0], f0]
+        for t in range(1, steps):
+            out = red(out * g[m[..., t], m[..., t - 1], b[..., t],
+                              b[..., t - 1]])
+        return red(out * g[e1, m[..., -1], f1, b[..., -1]])
+
+    for e0, e1, f0, f1 in itertools.product(range(n), repeat=4):
+        k1, k2 = chain(k, e0, e1, f0, f1), chain(l, e0, e1, f0, f1)
+        if p is None:
+            yield (np.kron(np.eye(n ** l), k1.T) / s1
+                   - np.kron(k2, np.eye(n ** k)) / s2)
+        else:
+            yield (s1 * np.kron(np.eye(n ** l, dtype=np.int64), k1.T)
+                   - s2 * np.kron(k2, np.eye(n ** k, dtype=np.int64))) % p
+
+
+def _prime_and_root(system):
+    level = system.level
+    p = primes_one_mod(level, min(_max_safe_prime(system.ncols), 1 << 26),
+                       1)[0]
+    return p, unity_root_mod(p, level)
+
+
+def _defining_modp(system, p, root):
+    n, k, l = system.n, system.k, system.l
+    return _defining_chunks(system.gt.modp(p, root), n, k, l,
+                            pow(n, system.s1_pow, p),
+                            pow(n, system.s2_pow, p), p)
+
+
 HOM_RESIDUAL_CASES = [
     (fourier(2), k, l) for k in range(5) for l in range(5 - k)
 ] + [
@@ -256,18 +305,80 @@ HOM_RESIDUAL_CASES = [
     "h,k,l", HOM_RESIDUAL_CASES,
     ids=[f"{h.provenance}-{k}-{l}" for h, k, l in HOM_RESIDUAL_CASES])
 def test_hom_residuals_equal_built_chunks(h, k, l):
-    """Chain-contracted residuals equal chunk @ X over the built stream."""
+    """Chain-contracted residuals equal A @ X over the defining chunks."""
     system = _HomSystem(h, k, l)
     n, level = h.n, h.level
-    p = primes_one_mod(level, min(_max_safe_prime(system.ncols), 1 << 26),
-                       1)[0]
-    r = unity_root_mod(p, level)
+    p, r = _prime_and_root(system)
     X = np.random.default_rng([n, k, l]).integers(0, p, (system.ncols, 3))
     for t in _primitive_residues(level):
         root = pow(r, t, p)
-        built = [c @ X % p for c in system.chunks_modp(p, root)]
+        built = [c @ X % p for c in _defining_modp(system, p, root)]
         built = np.array(built).reshape(n, n, n, n, -1, 3)  # e0 e1 f0 f1
         blocks = list(system.residuals_modp(p, root, X))
         assert len(blocks) == n * n
         got = np.array(blocks).reshape(n, n, n, n, -1, 3)  # e0 f0 e1 f1
         assert (got.transpose(0, 2, 1, 3, 4, 5) == built).all(), t
+
+
+def _rref(chunks, ncols, p):
+    """Finalized RREF of the stacked chunks, and their row count."""
+    rows = np.vstack(list(chunks))
+    rref = ModRREF(ncols, p)
+    rref.process(rows)
+    rref.finalize()
+    return rref, rows.shape[0]
+
+
+HOM_STREAM_EXACT = [
+    (fourier(2), 0, 2), (fourier(2), 1, 2), (fourier(2), 2, 2),
+    (fourier(3), 0, 2), (fourier(3), 1, 1), (fourier(3), 1, 2),
+    (fourier(4), 0, 2), (fourier(4), 0, 3), (fourier(4), 2, 0),
+    (tao(), 0, 2), (tao(), 1, 1),
+    (haagerup(Fraction(1, 4)), 0, 2), (haagerup(Fraction(1, 4)), 1, 1),
+    (f6_two_three(Fraction(1, 5), Fraction(2, 7)), 0, 1),
+]
+
+# (matrix, largest k + l): at order 6 and k + l = 3 the oracle's own SVD of
+# 279 936 x 216 rows takes about 16 s per (k, l) on a 2-core machine
+HOM_STREAM_FLOAT = [
+    (random_equivalent(Hadamard(entries=fourier(5).entries), 3), 3),
+    (f4q(complex(np.exp(2j * np.pi / 7))), 3),
+    (Hadamard(entries=tao().entries), 2),
+    (haagerup(complex(np.exp(0.26j * np.pi))), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "h,k,l", HOM_STREAM_EXACT,
+    ids=[f"{h.provenance}-{k}-{l}" for h, k, l in HOM_STREAM_EXACT])
+def test_hom_stream_spans_defining_system(h, k, l):
+    """The n^2 chunk stream has the row space of the n^4 defining chunks."""
+    system = _HomSystem(h, k, l)
+    n, level = h.n, h.level
+    p, r = _prime_and_root(system)
+    for t in _primitive_residues(level):
+        root = pow(r, t, p)
+        got, rows = _rref(system.chunks_modp(p, root), system.ncols, p)
+        want, _ = _rref(_defining_modp(system, p, root), system.ncols, p)
+        assert rows == n * n * n ** (k + l)
+        assert got.piv == want.piv, t
+        assert (got.R == want.R).all(), t
+
+
+@pytest.mark.parametrize(
+    "h,top", HOM_STREAM_FLOAT,
+    ids=["fourier(5)-moved", "f4q(1/7)", "tao-float", "haagerup-float"])
+def test_hom_stream_keeps_singular_values(h, top):
+    """Over C the stacked stream has the defining system's singular values."""
+    n = h.n
+    for k in range(top + 1):
+        for l in range(top + 1 - k):
+            system = _HomSystem(h, k, l)
+            got = np.vstack(list(system.chunks_complex()))
+            want = np.vstack(list(_defining_chunks(
+                system.gt.values, n, k, l, n ** (k + 1), n ** (l + 1))))
+            assert got.shape == (n * n * n ** (k + l), system.ncols)
+            sv_got = np.linalg.svd(got, compute_uv=False)
+            sv_want = np.linalg.svd(want, compute_uv=False)
+            assert np.abs(sv_got - sv_want).max() <= 1e-12 * sv_want[0], \
+                (k, l)
