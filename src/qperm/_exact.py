@@ -2,8 +2,12 @@
 
 Two layers live here:
 
-* small dense exact routines (integer determinants by fraction-free
-  elimination, rational matrix inversion) used by the partition module;
+* small dense exact routines used by the partition module: the integer
+  determinant by fraction-free (Bareiss) elimination, and the certified
+  inverse of an integer matrix (elimination modulo primes, CRT and
+  rational reconstruction, accepted only when G·W = I holds exactly).
+  `fraction_matrix_inverse`, Gauss-Jordan over Fraction, is not called by
+  the package; it is the independent oracle the tests invert with;
 
 * a certified nullity engine for large linear systems over Q(zeta_l).
   Elimination modulo a prime gives an upper bound on the exact nullity (a
@@ -42,6 +46,7 @@ and r = 0.  No reduction modulo Phi_l is needed for the bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,7 +89,10 @@ def bareiss_det(rows):
 
 
 def fraction_matrix_inverse(rows):
-    """Inverse of a square matrix over Fraction, or None when singular."""
+    """Inverse of a square matrix over Fraction, or None when singular.
+
+    The tests' oracle for certified_inverse and the Weingarten matrices.
+    """
     n = len(rows)
     aug = [
         [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -135,15 +143,19 @@ def is_prime(n):
     return True
 
 
-def primes_one_mod(level, p_max, count):
-    """The `count` largest primes p <= p_max with p = 1 (mod level)."""
+def _primes_descending(level, p_max):
+    """Primes p <= p_max with p = 1 (mod level), largest first."""
     level = max(level, 1)
     p = p_max - ((p_max - 1) % level)
-    found = []
-    while p > max(level, 3) and len(found) < count:
+    while p > max(level, 3):
         if is_prime(p):
-            found.append(p)
+            yield p
         p -= level
+
+
+def primes_one_mod(level, p_max, count):
+    """The `count` largest primes p <= p_max with p = 1 (mod level)."""
+    found = list(itertools.islice(_primes_descending(level, p_max), count))
     if len(found) < count:
         raise CertificationFailed(
             f"not enough primes = 1 mod {level} below {p_max}"
@@ -252,8 +264,8 @@ class ModRREF:
                 return
             lead = np.argmax(block != 0, axis=1)
             order = np.argsort(lead, kind="stable")
-            uniq_leads, first = np.unique(lead[order], return_index=True)
-            take = order[first]
+            # the first row of each lead; np.unique would import numpy.ma
+            take = order[np.flatnonzero(np.diff(lead[order], prepend=-1))]
             newrows = block[take]
             newleads = lead[take]
             inv = np.array(
@@ -286,14 +298,74 @@ class ModRREF:
             if self.target is not None and self.rank >= self.target:
                 self.saturated = True
                 return
-            rest = np.setdiff1d(np.arange(block.shape[0]), take)
-            block = block[rest]
+            block = np.delete(block, take, axis=0)
 
     def finalize(self):
         """Sort rows by pivot column (entries are already fully reduced)."""
         order = np.argsort(self.piv)
         self.R = self.R[order]
         self.piv = [self.piv[i] for i in order]
+
+
+# ---------------------------------------------------------------------------
+# certified inverse of an integer matrix
+# ---------------------------------------------------------------------------
+
+
+def certified_inverse(rows):
+    """Exact inverse of a nonsingular square integer matrix, over Fraction.
+
+    [G mod p | I] is reduced by ModRREF modulo primes below the float64
+    bound for its 2m columns.  A prime at which the left block does not
+    reach full rank divides det G and is skipped.  The right blocks are
+    combined by CRT and each entry is recovered by rational
+    reconstruction.  The candidate W is accepted only when
+    G·(D·W) = D·I holds exactly in integers, D the lcm of its
+    denominators; otherwise another prime is added.
+
+    Hadamard's bound H on |det G| bounds every minor as well, so the
+    entries of W = adj(G)/det(G), in lowest terms, have numerator and
+    denominator at most H, and reconstruction from a modulus above
+    2(H+1)^2 returns them.  Skipped primes whose product exceeds H prove
+    det G = 0 (ValueError); a candidate that still fails the check past
+    the reconstruction bound raises CertificationFailed.
+    """
+    g = [[int(x) for x in row] for row in rows]
+    m = len(g)
+    if any(len(row) != m for row in g):
+        raise ValueError("matrix must be square")
+    if m == 0:
+        return []
+    hadamard = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in g)
+    exact = np.array(g, dtype=object)
+    eye = np.eye(m)
+    res, modulus, skipped = [0] * (m * m), 1, 1
+    for p in _primes_descending(1, _max_safe_prime(2 * m)):
+        rref = ModRREF(2 * m, p)
+        rref.process(np.hstack([[[x % p for x in row] for row in g], eye]))
+        rref.finalize()
+        if rref.piv[:m] != list(range(m)):
+            skipped *= p
+            if skipped > hadamard:
+                raise ValueError("matrix is singular")
+            continue
+        res_p = rref.R[:m, m:].astype(np.int64).ravel().tolist()
+        res = [crt_combine(a, modulus, b, p)[0] for a, b in zip(res, res_p)]
+        modulus *= p
+        cand = list(itertools.takewhile(
+            lambda c: c is not None,
+            (rational_reconstruct(u, modulus) for u in res)))
+        if len(cand) == len(res):
+            den = math.lcm(*(c.denominator for c in cand))
+            scaled = np.array([c.numerator * (den // c.denominator)
+                               for c in cand], dtype=object).reshape(m, m)
+            resid = exact.dot(scaled)
+            resid[np.diag_indices(m)] -= den
+            if not resid.any():
+                return [cand[i * m:(i + 1) * m] for i in range(m)]
+        if modulus > 2 * (hadamard + 1) ** 2:
+            raise CertificationFailed("modular inverse does not verify")
+    raise CertificationFailed("prime pool exhausted")
 
 
 # ---------------------------------------------------------------------------

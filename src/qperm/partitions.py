@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._exact import bareiss_det, fraction_matrix_inverse
+from ._exact import bareiss_det, certified_inverse
 from .errors import ShapeMismatch, SingularGram
 
 
@@ -96,6 +96,11 @@ class SetPartition:
 
 def join(p, q):
     """Smallest partition refined by both p and q (union-find on points)."""
+    return SetPartition.from_labels(_join_roots(p, q))
+
+
+def _join_roots(p, q):
+    """Union-find root of each point in the join of p and q."""
     if p.size != q.size:
         raise ShapeMismatch("sizes differ")
     parent = list(range(p.size))
@@ -118,7 +123,7 @@ def join(p, q):
                 union(first[lab], pt)
             else:
                 first[lab] = pt
-    return SetPartition.from_labels([find(x) for x in range(p.size)])
+    return [find(x) for x in range(p.size)]
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +218,12 @@ def _delta(part, idx):
 
 @dataclass(frozen=True)
 class GramWeingarten:
-    """Exact Gram matrix n^|pi v sigma| and its rational inverse."""
+    """Exact Gram matrix G[pi][sigma] = n^|pi v sigma| and W = G^-1.
+
+    For ALL, W is the Moebius closed form; for NONCROSSING and
+    EVEN_NONCROSSING it is the modular inverse certified by the exact
+    identity G·W = I (see gram_weingarten).
+    """
 
     family: PartitionFamily
     k: int
@@ -234,20 +244,75 @@ def _join_sizes(k, family):
     sizes = [[0] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            sz = join(parts[a], parts[b]).block_count
+            sz = len(set(_join_roots(parts[a], parts[b])))
             sizes[a][b] = sizes[b][a] = sz
     return parts, tuple(tuple(r) for r in sizes)
 
 
 @lru_cache(maxsize=None)
+def _moebius_matrix(k):
+    """Moebius matrix M[tau][pi] = mu(tau, pi) of the partitions of k points.
+
+    M[tau][pi] is 0 unless tau <= pi, which holds exactly when the join
+    of tau and pi has |pi| blocks.  The interval [tau, pi] is a product of
+    partition lattices, one per block of pi, of rank b - 1 for the b
+    blocks of tau inside it, so mu(tau, pi) = prod (-1)^(b-1) (b-1)!.
+    """
+    parts, sizes = _join_sizes(k, PartitionFamily.ALL)
+    mat = np.zeros((len(parts), len(parts)), dtype=object)
+    for t, tau in enumerate(parts):
+        for a, pi in enumerate(parts):
+            if sizes[t][a] == pi.block_count:
+                inside = [0] * pi.block_count
+                for blk in tau.blocks():
+                    inside[pi.rgs[blk[0] - 1]] += 1
+                mat[t, a] = math.prod((-1) ** (b - 1) * math.factorial(b - 1)
+                                      for b in inside)
+    return mat
+
+
+def _weingarten_all(k, n):
+    """W = M^T diag(1/(n)_|tau|) M for ALL, n >= k.
+
+    G = Z^T diag((n)_|tau|) Z with Z[tau][pi] = 1 when pi <= tau: the
+    n^|pi v sigma| index maps constant on the blocks of pi v sigma are
+    counted by the partition tau >= pi v sigma of their level sets, with
+    (n)_|tau| maps each.  So M^T = Z^-1 (Rota 1964; Collins-Sniady 2006).
+    The integer product M^T diag((n)_k/(n)_|tau|) M is summed row by row
+    of M, over the partitions above tau, then divided by (n)_k.
+    """
+    parts = enum_partitions(k, PartitionFamily.ALL)
+    mob = _moebius_matrix(k)
+    full = math.perm(n, k)
+    num = np.zeros(mob.shape, dtype=object)
+    for tau, row in zip(parts, mob):
+        up = np.flatnonzero(row)
+        weight = full // math.perm(n, tau.block_count)
+        num[np.ix_(up, up)] += np.outer(row[up], weight * row[up])
+    return tuple(tuple(Fraction(x, full) for x in row) for row in num)
+
+
+@lru_cache(maxsize=None)
 def gram_weingarten(family, k, n):
-    """Gram/Weingarten data for k points over the family at dimension n."""
+    """Gram/Weingarten data for k points over the family at dimension n.
+
+    Singularity is decided first (_gram_is_singular), and a singular G
+    gives weingarten=None.  For ALL (then n >= k) W is the Moebius closed
+    form of _weingarten_all.  NONCROSSING and EVEN_NONCROSSING have no
+    such factorization; there W is _exact.certified_inverse of G, the
+    inverse modulo primes lifted by CRT and rational reconstruction and
+    accepted only when G·(D·W) = D·I holds exactly in integers.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     parts, sizes = _join_sizes(k, family)
     gram = tuple(tuple(n ** s for s in row) for row in sizes)
-    inv = fraction_matrix_inverse([list(r) for r in gram])
-    wg = tuple(tuple(r) for r in inv) if inv is not None else None
+    if _gram_is_singular(family, k, n):
+        wg = None
+    elif family is PartitionFamily.ALL:
+        wg = _weingarten_all(k, n)
+    else:
+        wg = tuple(tuple(r) for r in certified_inverse(gram))
     return GramWeingarten(family, k, n, parts, gram, wg)
 
 
@@ -316,15 +381,22 @@ def char_moment(family, n, k):
 def truncated_char_moment(family, n, s, k):
     """Exact k-th moment of the truncated character chi_t, s = floor(tn).
 
-    Computed as Tr(G_ks W_kn); G_ks needs no inversion so any 0 <= s is fine.
+    This is Tr(G_ks W_kn); G_ks needs no inversion so any 0 <= s is fine.
+    For ALL, G_ks = Z^T diag((s)_|tau|) Z and W_kn = Z^-1 diag(1/(n)_|tau|)
+    Z^-T (see _weingarten_all), so the trace is the closed form
+    sum over partitions tau of (s)_|tau|/(n)_|tau|.
     """
     if k == 0:
         return Fraction(1)
     if not 0 <= s <= n:
         raise ValueError("s must lie in 0..n")
-    gw = gram_weingarten(family, k, n)
-    if gw.is_singular:
+    if _gram_is_singular(family, k, n):
         raise SingularGram(f"Gram matrix singular for k={k}, n={n}")
+    if family is PartitionFamily.ALL:
+        return sum((Fraction(math.perm(s, p.block_count),
+                             math.perm(n, p.block_count))
+                    for p in enum_partitions(k, family)), Fraction(0))
+    gw = gram_weingarten(family, k, n)
     _, sizes = _join_sizes(k, family)
     m = len(gw.partitions)
     total = Fraction(0)

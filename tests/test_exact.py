@@ -7,6 +7,10 @@ these stubs sit on that boundary and on a single vanishing embedding.
 The evaluation of the vectors must itself be exact, and the Hom-space
 residuals, contracted from the G chains, must reject a basis that is off
 by one coefficient.
+
+The certified inverse of an integer matrix must skip a prime that divides
+the determinant and must not accept a reconstruction until G·W = I holds
+exactly; Fraction Gauss-Jordan is its oracle.
 """
 
 from fractions import Fraction
@@ -18,8 +22,11 @@ from qperm._exact import (
     _eval_vectors_mod,
     _max_safe_prime,
     _verify_basis,
+    certified_inverse,
     certified_nullity,
+    fraction_matrix_inverse,
     primes_one_mod,
+    rational_reconstruct,
     residuals_from_chunks,
     unity_root_mod,
 )
@@ -121,3 +128,50 @@ def test_hom_verification_rejects_a_perturbed_basis(h):
     cert = certified_nullity(system, candidates=bad)
     assert cert.dim == dim
     assert "candidates-fallback" in cert.tags
+
+
+def _first_inverse_prime(m):
+    """The first prime certified_inverse tries for an m x m matrix."""
+    return primes_one_mod(1, _max_safe_prime(2 * m), 1)[0]
+
+
+def test_inverse_is_not_accepted_from_a_wrong_reconstruction():
+    """1/D needs a modulus above 2D: the first prime reconstructs a wrong
+    fraction, which only the exact check G·W = I rejects."""
+    d = 10 ** 15 + 1
+    p0 = _first_inverse_prime(1)
+    wrong = rational_reconstruct(pow(d, -1, p0), p0)
+    assert wrong is not None and wrong != Fraction(1, d)
+    assert certified_inverse([[d]]) == [[Fraction(1, d)]]
+
+
+def test_inverse_needs_several_primes_when_reconstruction_fails():
+    g = [[10 ** 9 + 7, 3, 5], [2, 10 ** 8 + 1, 7], [11, 13, 10 ** 7 + 19]]
+    p0 = _first_inverse_prime(3)
+    w = fraction_matrix_inverse(g)
+    residues = [x.numerator * pow(x.denominator, -1, p0) for r in w for x in r]
+    assert None in [rational_reconstruct(u, p0) for u in residues]
+    assert certified_inverse(g) == w
+
+
+def test_inverse_skips_a_prime_dividing_the_determinant():
+    p0 = _first_inverse_prime(2)
+    g = [[p0 + 3, 1], [3, 1]]  # det = p0
+    assert fraction_matrix_inverse(g) == certified_inverse(g)
+    assert certified_inverse(g)[0][0].denominator == p0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_inverse_matches_fraction_inverse(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7))
+    g = rng.integers(-10 ** 6, 10 ** 6, size=(m, m)).tolist()
+    assert certified_inverse(g) == fraction_matrix_inverse(g)
+
+
+def test_inverse_of_singular_and_empty_matrices():
+    with pytest.raises(ValueError):
+        certified_inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        certified_inverse([[0, 0], [0, 0]])
+    assert certified_inverse([]) == []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qperm._exact import fraction_matrix_inverse
 from qperm.errors import SingularGram
 from qperm.partitions import (
     PartitionFamily,
@@ -151,15 +152,24 @@ def test_classical_moments_refuse_singular_rank():
 
 
 def test_char_moment_singularity_matches_inversion():
-    """char_moment decides singularity without inverting; W is the oracle."""
+    """Singularity and W against Fraction Gauss-Jordan on the same Gram matrix.
+
+    gram_weingarten and char_moment both decide singularity without
+    inverting, so the oracle inverts G itself; the same inverse checks W
+    entry by entry (Moebius closed form for ALL, certified modular inverse
+    otherwise), None and the empty matrix included.
+    """
     for fam in (ALL, NC, PartitionFamily.EVEN_NONCROSSING):
         for n in range(1, 10):
             for k in range(7):
                 gw = gram_weingarten(fam, k, n)
-                if gw.is_singular:
+                inv = fraction_matrix_inverse([list(r) for r in gw.gram])
+                if inv is None:
+                    assert gw.weingarten is None
                     with pytest.raises(SingularGram):
                         char_moment(fam, n, k)
                 else:
+                    assert gw.weingarten == tuple(tuple(r) for r in inv)
                     assert char_moment(fam, n, k) == len(gw.partitions)
 
 
@@ -244,6 +254,24 @@ def test_truncated_moments_interpolate():
             full = char_moment(fam, 6, k)
             assert truncated_char_moment(fam, 6, 6, k) == full
             assert truncated_char_moment(fam, 6, 0, k) == (1 if k == 0 else 0)
+
+
+def test_truncated_classical_moment_is_trace_against_inverse():
+    """The ALL closed form sum (s)_|tau|/(n)_|tau| equals Tr(G_s W_n)."""
+    for k in range(1, 6):
+        parts = enum_partitions(k, ALL)
+        joins = [[join(p, q).block_count for q in parts] for p in parts]
+        for n in range(1, 10):
+            if n < k:
+                with pytest.raises(SingularGram):
+                    truncated_char_moment(ALL, n, n, k)
+                continue
+            w = fraction_matrix_inverse([[n ** j for j in r] for r in joins])
+            for s in range(n + 1):
+                trace = sum((s ** joins[a][b] * w[b][a]
+                             for a in range(len(parts))
+                             for b in range(len(parts))), Fraction(0))
+                assert truncated_char_moment(ALL, n, s, k) == trace
 
 
 def test_truncated_limit_is_partition_sum():
