@@ -17,6 +17,20 @@ Two layers live here:
   solutions bound the nullity from below, and when the bounds meet the
   dimension is certified exact.
 
+The zero test.  An element r of Z[zeta_l] with |sigma(r)| <= B under
+every complex embedding sigma is zero once it vanishes at every
+embedding modulo each of a set of primes p = 1 (mod l) whose product P
+exceeds B.  Because p = 1 (mod l), p splits completely in Z[zeta_l]: the
+phi(l) evaluations zeta -> r^t mod p (`embedding_roots`) are the
+reductions modulo the phi(l) primes above p, whose product is pZ[zeta_l].
+If r vanishes at all of them for every prime of the set, then P divides
+r, so r / P lies in Z[zeta_l] and every conjugate has modulus at most
+B / P < 1.  The norm N(r / P), an integer, then has modulus below 1,
+hence is 0, and r = 0.  `leading_primes` takes the primes of a pool
+until their product exceeds B.  No reduction modulo Phi_l is needed.
+Verification below and the magic-unitary checks of `quantum` both
+decide their identities this way.
+
 A system A is never held whole.  It exposes `ncols`, `level`,
 `coeff_l1_bound` and two streams, both evaluated modulo a prime
 p = 1 (mod l) at an image zeta -> root:
@@ -28,20 +42,19 @@ p = 1 (mod l) at an image zeta -> root:
   without building its rows; `residuals_from_chunks` derives them from
   the chunk stream.
 
-Verification rests on the norm.  Each entry of A has group-algebra
-coefficients of l1 norm at most coeff_l1_bound, and each entry x_j of a
-vector has integer coefficients of l1 norm ||x_j||_1.  Since |zeta^e| = 1
-under every complex embedding sigma, an entry r of the residual A·x obeys
+Verification bounds the residual.  Each entry of A has coefficients of
+l1 norm at most coeff_l1_bound, each entry x_j of a vector has integer
+coefficients of l1 norm ||x_j||_1, and |zeta^e| = 1 under every sigma,
+so an entry r of A·x has |sigma(r)| <= ncols * coeff_l1_bound *
+max_j ||x_j||_1 =: B_1, and the zero test with B = B_1 proves A·x = 0.
 
-    |sigma(r)| <= ncols * coeff_l1_bound * max_j ||x_j||_1 =: B_1.
-
-Because p = 1 (mod l), p splits completely in Z[zeta_l]: the phi(l)
-evaluations zeta -> r^t mod p are the reductions modulo the phi(l) primes
-above p, whose product is pZ[zeta_l].  If r vanishes at all of them for
-every prime in a set whose product is P, then P divides r, so r / P lies
-in Z[zeta_l] and every conjugate has modulus at most B_1 / P.  With
-P > B_1 the norm N(r / P), an integer, has modulus below 1, hence is 0,
-and r = 0.  No reduction modulo Phi_l is needed for the bound.
+The prime loop.  `certified_nullity` walks its pool once, eliminating at
+every embedding of each prime and skipping a prime whose embeddings
+disagree on (rank, pivot columns).  A reduction modulo a prime can only
+lose rank or push pivots to later columns, so the best key seen so far
+(higher rank, then the lexicographically first pivots) is kept with the
+primes that match it; after each such prime the basis is lifted from
+all of them and verified.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationFailed, RankAmbiguous
-from .scalars import factorize, root_reduction_table
+from .scalars import factorize
 
 # ---------------------------------------------------------------------------
 # small dense exact routines
@@ -203,10 +216,28 @@ def rational_reconstruct(u, modulus):
 
 
 def crt_combine(res_a, mod_a, res_b, mod_b):
-    """Combine residues into one modulo mod_a * mod_b."""
+    """Combine residues into one modulo mod_a * mod_b.
+
+    Works elementwise on object arrays of Python integers, in one pass.
+    """
     inv = pow(mod_a % mod_b, -1, mod_b)
     diff = (res_b - res_a) % mod_b
     return res_a + mod_a * ((diff * inv) % mod_b), mod_a * mod_b
+
+
+def _reconstruct(res, modulus):
+    """Fractions from an object array of CRT residues, or None.
+
+    Only the nonzero residues are reconstructed; zeros give Fraction(0).
+    None as soon as one reconstruction fails.
+    """
+    out = np.full(res.shape, Fraction(0), dtype=object)
+    for i in np.flatnonzero(res):
+        val = rational_reconstruct(res.flat[i], modulus)
+        if val is None:
+            return None
+        out.flat[i] = val
+    return out
 
 
 def solve_mod_vandermonde(points, rhs, p):
@@ -339,7 +370,7 @@ def certified_inverse(rows):
     hadamard = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in g)
     exact = np.array(g, dtype=object)
     eye = np.eye(m)
-    res, modulus, skipped = [0] * (m * m), 1, 1
+    res, modulus, skipped = 0, 1, 1
     for p in _primes_descending(1, _max_safe_prime(2 * m)):
         rref = ModRREF(2 * m, p)
         rref.process(np.hstack([[[x % p for x in row] for row in g], eye]))
@@ -349,20 +380,17 @@ def certified_inverse(rows):
             if skipped > hadamard:
                 raise ValueError("matrix is singular")
             continue
-        res_p = rref.R[:m, m:].astype(np.int64).ravel().tolist()
-        res = [crt_combine(a, modulus, b, p)[0] for a, b in zip(res, res_p)]
-        modulus *= p
-        cand = list(itertools.takewhile(
-            lambda c: c is not None,
-            (rational_reconstruct(u, modulus) for u in res)))
-        if len(cand) == len(res):
-            den = math.lcm(*(c.denominator for c in cand))
+        res_p = rref.R[:m, m:].astype(np.int64).astype(object)
+        res, modulus = crt_combine(res, modulus, res_p, p)
+        cand = _reconstruct(res, modulus)
+        if cand is not None:
+            den = math.lcm(*(c.denominator for c in cand.flat))
             scaled = np.array([c.numerator * (den // c.denominator)
-                               for c in cand], dtype=object).reshape(m, m)
-            resid = exact.dot(scaled)
+                               for c in cand.flat], dtype=object)
+            resid = exact.dot(scaled.reshape(m, m))
             resid[np.diag_indices(m)] -= den
             if not resid.any():
-                return [cand[i * m:(i + 1) * m] for i in range(m)]
+                return cand.tolist()
         if modulus > 2 * (hadamard + 1) ** 2:
             raise CertificationFailed("modular inverse does not verify")
     raise CertificationFailed("prime pool exhausted")
@@ -381,10 +409,25 @@ class NullityCertificate:
     tags: list = field(default_factory=list)
 
 
-def _primitive_residues(level):
-    if level == 1:
-        return [0]
-    return [t for t in range(level) if math.gcd(t, level) == 1]
+def embedding_roots(p, level):
+    """The phi(level) images r^t mod p of zeta_level, gcd(t, level) = 1.
+
+    r = unity_root_mod(p, level); evaluation at r^t is the reduction modulo
+    one of the phi(level) primes above p = 1 (mod level).
+    """
+    r = unity_root_mod(p, level)
+    return [pow(r, t, p) for t in range(level) if math.gcd(t, level) == 1]
+
+
+def leading_primes(pool, bound):
+    """The leading primes of `pool` whose product first exceeds `bound`."""
+    used, prod = [], 1
+    for p in pool:
+        used.append(p)
+        prod *= p
+        if prod > bound:
+            return used
+    raise CertificationFailed("prime pool exhausted below the norm bound")
 
 
 def _max_safe_prime(ncols):
@@ -392,22 +435,18 @@ def _max_safe_prime(ncols):
 
 
 def _eval_vectors_mod(vectors, p, r, level):
-    """Evaluate integer cyclo vectors (n, ncols, level) at zeta -> r mod p.
+    """Evaluate integer cyclo arrays (..., level) at zeta -> r mod p.
 
     Coefficients are reduced mod p first, in exact integers.  Partial sums
     of at most `step` products below p^2 keep the int64 sums exact.
     """
     pows = np.array([pow(r, j, p) for j in range(level)], dtype=np.int64)
-    red = np.mod(vectors, p).astype(np.int64)
+    red = np.mod(vectors, p).astype(np.int64, copy=False)
     step = ((1 << 63) - p) // (p - 1) ** 2
     out = np.zeros(red.shape[:-1], dtype=np.int64)
     for s in range(0, level, step):
         out = (out + red[..., s:s + step] @ pows[s:s + step]) % p
     return out
-
-
-class _LiftFailure(Exception):
-    pass
 
 
 def _eliminate(system, p, r, target_rank=None):
@@ -420,69 +459,38 @@ def _eliminate(system, p, r, target_rank=None):
     return rref
 
 
-def _lift_basis(system, primes, roots, residues):
-    """Lift the exact RREF nullspace from eliminations at each (p, t).
+def _lift_basis(ncols, level, pivots, kept):
+    """Lift the exact RREF nullspace from its reductions at several primes.
 
-    residues[p][t] is a finalized ModRREF.  Returns a list of integer
-    ndarrays (ncols, level), denominators cleared per vector.
+    kept lists (p, roots, rrefs): the finalized ModRREF at each embedding
+    root of p, all with pivot columns `pivots`.  An RREF entry at a free
+    column lies in Q(zeta_l) with degree below phi(l); one Vandermonde
+    solve per prime gives its power-basis coefficients mod p, CRT combines
+    the primes in one pass over an object array, and only the nonzero
+    residues are reconstructed.  Returns integer ndarrays (ncols, level),
+    denominators cleared per vector, or None if a reconstruction fails.
     """
-    level = max(system.level, 1)
-    T = _primitive_residues(level)
-    phideg = root_reduction_table(level).shape[1]
-    ref = residues[primes[0]][T[0]]
-    pivcols = list(ref.piv)
-    freecols = [c for c in range(system.ncols) if c not in set(pivcols)]
-    for p in primes:
-        for t in T:
-            if list(residues[p][t].piv) != pivcols:
-                raise _LiftFailure("pivot columns differ between embeddings")
-    rank, nfree = len(pivcols), len(freecols)
-    # coefficient residues per prime: solve the Vandermonde system once per p
-    coeff_mod = {}
-    for p in primes:
-        points = [pow(roots[p], t, p) for t in T]
-        stacked = [
-            np.asarray(residues[p][t].R[:, freecols], dtype=np.int64).ravel()
-            for t in T
-        ]
-        coeffs = solve_mod_vandermonde(points, stacked, p)
-        coeff_mod[p] = [np.array(c, dtype=np.int64).reshape(rank, nfree)
-                        for c in coeffs]
-    # CRT + rational reconstruction entry by entry
-    entries = {}
-    for i in range(rank):
-        for j in range(nfree):
-            coeffs = []
-            nonzero = False
-            for jc in range(phideg):
-                res, mod = 0, 1
-                for p in primes:
-                    res, mod = crt_combine(res, mod, int(coeff_mod[p][jc][i, j]), p)
-                if res == 0:
-                    coeffs.append(Fraction(0))
-                    continue
-                val = rational_reconstruct(res, mod)
-                if val is None:
-                    raise _LiftFailure("rational reconstruction failed")
-                coeffs.append(val)
-                nonzero = True
-            if nonzero:
-                entries[(i, j)] = coeffs
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    res, modulus = 0, 1
+    for p, roots, rrefs in kept:
+        stacked = [r.R[:, free].astype(np.int64).ravel() for r in rrefs]
+        coeffs = solve_mod_vandermonde(roots, stacked, p)
+        res, modulus = crt_combine(res, modulus,
+                                   np.array(coeffs, dtype=object), p)
+    phideg = len(kept[0][1])
+    vals = _reconstruct(res.reshape(phideg, len(pivots), len(free)), modulus)
+    if vals is None:
+        return None
     basis = []
-    for j in range(nfree):
-        den = 1
-        for i in range(rank):
-            if (i, j) in entries:
-                for c in entries[(i, j)]:
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-        vec = np.zeros((system.ncols, level), dtype=object)
-        vec[freecols[j], 0] = den
-        for i in range(rank):
-            if (i, j) in entries:
-                for jc, c in enumerate(entries[(i, j)]):
-                    if c:
-                        vec[pivcols[i], jc] = -c * den
-        basis.append(np.vectorize(int, otypes=[object])(vec))
+    for j, col in enumerate(free):
+        entries = vals[:, :, j].T  # (rank, phideg)
+        den = math.lcm(*(c.denominator for c in entries.flat))
+        vec = np.zeros((ncols, level), dtype=object)
+        vec[col, 0] = den
+        vec[pivots, :phideg] = np.vectorize(int, otypes=[object])(
+            -den * entries)
+        basis.append(vec)
     return basis
 
 
@@ -508,57 +516,38 @@ def residuals_from_chunks(chunks, X, p):
 def _verify_basis(system, basis, prime_pool, tags):
     """Exact verification of A·x = 0 for every basis vector.
 
-    Checks each residual entry, read from system.residuals_modp, at
-    every embedding zeta -> r^t modulo the leading primes of the pool,
-    taking primes until their product P exceeds
-    B_1 = ncols * coeff_l1_bound * max_j ||x_j||_1, where ||x_j||_1 is
-    the l1 norm of an entry's coefficients, read from the vectors.  The
-    rows of A are never needed, only A·x.  A nonzero residual entry r
-    has |sigma(r)| <= B_1 at every complex embedding; vanishing at all
-    phi(l) embeddings modulo each prime makes P divide r, and then the
-    integer norm of r / P has modulus below 1.  So it is 0, and r = 0
-    (see the module docstring).
+    The zero test of the module docstring with B = B_1, applied to the
+    residual blocks of system.residuals_modp; the rows of A are never
+    needed.  ||x_j||_1 in B_1 is read from the vectors.
     """
     if not basis:
         return True
     level = max(system.level, 1)
-    T = _primitive_residues(level)
     X = np.array([np.asarray(v, dtype=object) for v in basis], dtype=object)
     bound = system.ncols * system.coeff_l1_bound * int(
         np.abs(X).sum(axis=-1).max())
-    prod = 1
-    used = []
-    for p in prime_pool:
-        used.append(p)
-        prod *= p
-        if prod > bound:
-            break
-    if prod <= bound:
-        raise CertificationFailed("verification prime pool exhausted")
-    tags.append(f"verify-primes={len(used)}")
-    for p in used:
-        r = unity_root_mod(p, level)
-        for t in T:
-            rt = pow(r, t, p)
-            Xt = _eval_vectors_mod(X, p, rt, level)  # (nvec, ncols)
+    primes = leading_primes(prime_pool, bound)
+    tags.append(f"verify-primes={len(primes)}")
+    for p in primes:
+        for root in embedding_roots(p, level):
+            Xt = _eval_vectors_mod(X, p, root, level)  # (nvec, ncols)
             XtT = np.ascontiguousarray(Xt.T)
-            for block in system.residuals_modp(p, rt, XtT):
+            for block in system.residuals_modp(p, root, XtT):
                 if block.any():
                     return False
     return True
 
 
-def _independent_mod(basis, p, level):
-    """Rank check of candidate vectors modulo (p, a primitive embedding)."""
-    r = unity_root_mod(p, level)
+def _independent_mod(basis, p, root, level):
+    """Rank check of candidate vectors at one embedding modulo p."""
     X = np.array([np.asarray(v, dtype=object) for v in basis], dtype=object)
-    Xt = _eval_vectors_mod(X, p, r, level)
+    Xt = _eval_vectors_mod(X, p, root, level)
     rref = ModRREF(Xt.shape[1], p)
     rref.process(Xt)
     return rref.rank == len(basis)
 
 
-#: Largest prime set the lift may escalate to before a restart.
+#: Most primes one lift combines before certification gives up.
 _MAX_LIFT_PRIMES = 6
 
 
@@ -570,11 +559,12 @@ def certified_nullity(system, candidates=None):
     the module docstring).  When `candidates` (exact integer cyclo vectors
     known to be independent solutions elsewhere) are supplied, they are
     verified against *this* system and the rank bound uses early stopping;
-    on any failure the full independent protocol runs.
+    on any failure the prime loop of the module docstring runs.  It
+    raises CertificationFailed after _MAX_LIFT_PRIMES kept primes or at
+    the end of the pool.
     """
     ncols = system.ncols
     level = max(system.level, 1)
-    T = _primitive_residues(level)
     p_max = min(_max_safe_prime(ncols), 1 << 26)
     pool = primes_one_mod(level, p_max, _MAX_LIFT_PRIMES + 4)
     tags = []
@@ -585,66 +575,40 @@ def certified_nullity(system, candidates=None):
     if candidates is not None:
         n_cand = len(candidates)
         target = ncols - n_cand
+        root = embedding_roots(pool[0], level)[0]
         ok = n_cand == 0 or (
-            _independent_mod(candidates, pool[0], level)
+            _independent_mod(candidates, pool[0], root, level)
             and _verify_basis(system, candidates, pool, tags)
         )
         if ok:
-            p = pool[0]
-            r = unity_root_mod(p, level)
-            rref = _eliminate(system, p, pow(r, T[0], p), target_rank=target)
+            rref = _eliminate(system, pool[0], root, target_rank=target)
             if rref.rank == target:
                 tags.append("candidates-certified")
                 return NullityCertificate(n_cand, level, list(candidates), tags)
         tags.append("candidates-fallback")
 
-    last_error = None
-    for attempt in range(3):
-        try:
-            primes = [pool[attempt]]
-            roots = {}
-            residues = {}
-            for p in primes:
-                roots[p] = unity_root_mod(p, level)
-                residues[p] = {
-                    t: _eliminate(system, p, pow(roots[p], t, p)) for t in T
-                }
-            ranks = {residues[p][t].rank for p in primes for t in T}
-            if len(ranks) != 1:
-                raise _LiftFailure("rank differs between embeddings")
-            rank = ranks.pop()
-            if rank == ncols:
-                return NullityCertificate(0, level, [], tags + ["full-rank"])
-            # lift with an escalating prime set until verification passes
-            next_idx = attempt + 1
-            while True:
-                try:
-                    basis = _lift_basis(system, primes, roots, residues)
-                except _LiftFailure:
-                    basis = None
-                if basis is not None and _verify_basis(
-                    system, basis, pool, tags
-                ):
-                    tags.append(f"lift-primes={len(primes)}")
-                    return NullityCertificate(ncols - rank, level, basis, tags)
-                if len(primes) >= _MAX_LIFT_PRIMES or next_idx >= len(pool):
-                    raise _LiftFailure("lift verification failed")
-                p_new = pool[next_idx]
-                next_idx += 1
-                if p_new in primes:
-                    continue
-                roots[p_new] = unity_root_mod(p_new, level)
-                residues[p_new] = {
-                    t: _eliminate(system, p_new, pow(roots[p_new], t, p_new))
-                    for t in T
-                }
-                if residues[p_new][T[0]].rank != rank:
-                    raise _LiftFailure("rank differs between primes")
-                primes.append(p_new)
-        except _LiftFailure as exc:
-            last_error = exc
+    best, kept = None, []
+    for p in pool:
+        roots = embedding_roots(p, level)
+        rrefs = [_eliminate(system, p, root) for root in roots]
+        keys = {(-r.rank, tuple(r.piv)) for r in rrefs}
+        if len(keys) > 1:
             continue
-    raise CertificationFailed(f"could not certify nullity: {last_error}")
+        key = keys.pop()
+        if key[0] == -ncols:
+            return NullityCertificate(0, level, [], tags + ["full-rank"])
+        if best is None or key < best:
+            best, kept = key, []
+        elif key != best:
+            continue
+        kept.append((p, roots, rrefs))
+        basis = _lift_basis(ncols, level, list(best[1]), kept)
+        if basis is not None and _verify_basis(system, basis, pool, tags):
+            tags.append(f"lift-primes={len(kept)}")
+            return NullityCertificate(ncols + best[0], level, basis, tags)
+        if len(kept) == _MAX_LIFT_PRIMES:
+            break
+    raise CertificationFailed("could not certify nullity")
 
 
 # ---------------------------------------------------------------------------

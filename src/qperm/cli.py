@@ -21,6 +21,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -70,6 +71,7 @@ from .quantum import (
     invariants,
     magic_from_hadamard,
     orbit_components,
+    permutation_magic,
     poincare_series,
 )
 
@@ -534,8 +536,6 @@ def _cmd_klein_check(args):
         rep = check_so3q_relations(grid, tol=args.tol)
         ok = ok and rep.ok
         worst_p = max(worst_p, rep.skew, rep.twisted_det, rep.orthogonality)
-    from itertools import permutations
-    from .quantum import permutation_magic
     worst_s = 0.0
     for perm in permutations(range(4)):
         grid = klein_fourier(permutation_magic(list(perm)), tol=args.tol)

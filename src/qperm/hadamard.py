@@ -223,24 +223,15 @@ def dita(h, k, l_params):
         he = h.exponents * (lev // h.level)
         ke = k.exponents * (lev // k.level)
         le = l_exp * (lev // l_lev)
-        out = np.zeros((n * m, n * m), dtype=np.int64)
-        for i in range(n):
-            for a in range(m):
-                out[i * m + a] = (
-                    he[i][:, None] + le[a][:, None] + ke[a][None, :]
-                ).reshape(-1)
+        out = (he[:, None, :, None] + le[None, :, :, None]
+               + ke[None, :, None, :]).reshape(n * m, n * m)
         return Hadamard(exponents=out % lev, level=lev, provenance=label)
-    hm = h.entries
-    km = k.entries
     lm = float_l if float_l is not None else np.exp(
         2j * np.pi * exact_l[0] / exact_l[1]
     )
-    out = np.zeros((n * m, n * m), dtype=np.complex128)
-    for i in range(n):
-        for a in range(m):
-            out[i * m + a] = (
-                hm[i][:, None] * lm[a][:, None] * km[a][None, :]
-            ).reshape(-1)
+    # (H_ij * L_aj) * K_ab, in that order, entry (i*m + a, j*m + b)
+    out = (h.entries[:, None, :, None] * lm[None, :, :, None]
+           * k.entries[None, :, None, :]).reshape(n * m, n * m)
     return Hadamard(entries=out, provenance=label)
 
 

@@ -137,7 +137,9 @@ def model_word_expectation(word, samples, seed):
     tr(U^x_{i_1 j_1} ... U^x_{i_k j_k}) / 4 over Haar samples x and
     matches the exact noncrossing Weingarten integral at order 4.  The
     blocks are rank-one projections onto lines w_t, so the trace is the
-    cyclic product prod_t <w_t, w_{t+1}> / prod_t <w_t, w_t>.
+    cyclic product prod_t <w_t, w_{t+1}> / prod_t <w_t, w_t>.  For x in
+    SU_2, c_i x c_j is a unit quaternion, so its Pauli coordinates w_t are
+    a real unit vector and the product is prod_t w_t . w_{t+1}.
     """
     word = tuple((int(i), int(j)) for i, j in word)
     if not word:
@@ -156,11 +158,9 @@ def model_word_expectation(word, samples, seed):
         v = rng.standard_normal((b, 4))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         xs = np.einsum("nm,mab->nab", v, _PAULI)
-        w = _pauli_lines(xs, pairs)
-        wc = w.conj()
-        inner = np.einsum("ntm,ntm->nt", wc, np.roll(w, -1, axis=1))
-        norms = np.einsum("ntm,ntm->nt", wc, w).real
-        vals = (inner.prod(axis=1) / norms.prod(axis=1)).real / 4.0
+        w = _pauli_lines(xs, pairs).real
+        inner = np.einsum("ntm,ntm->nt", w, np.roll(w, -1, axis=1))
+        vals = inner.prod(axis=1) / 4.0
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += b

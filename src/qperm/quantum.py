@@ -20,7 +20,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import certified_nullity, float_nullity, residuals_from_chunks
+from ._exact import (
+    _eval_vectors_mod,
+    _max_safe_prime,
+    _primes_descending,
+    certified_nullity,
+    embedding_roots,
+    float_nullity,
+    leading_primes,
+    residuals_from_chunks,
+)
 from .errors import (
     BudgetExceeded,
     MalformedMatrix,
@@ -29,7 +38,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .hadamard import Hadamard
-from .scalars import DEFAULT_TOL, root_reduction_table
+from .scalars import DEFAULT_TOL
 
 _DEFAULT_BUDGET = 10_000_000_000
 
@@ -92,6 +101,10 @@ class MagicUnitary:
     def is_exact(self):
         return self.coeffs is not None
 
+    def modp(self, p, root):
+        """den * P at zeta -> root modulo p, as int64 in [0, p)."""
+        return _eval_vectors_mod(self.coeffs, p, root, self.level)
+
     def __repr__(self):
         form = f"level={self.level}" if self.is_exact else "complex"
         tag = f", {self.provenance}" if self.provenance else ""
@@ -149,23 +162,6 @@ def _root_powers(root, p, level):
                     dtype=np.int64)
 
 
-def _ga_products(a, ash):
-    """All pairwise group-algebra block products.
-
-    a has shape (m, d, d, lev); ash is the index-shifted copy with
-    ash[f, c, b, s, t] = a[f, c, b, (t - s) % lev].  Returns the tensor
-    prod[e, f, a, b, t] of coefficient vectors of a_e @ a_f.
-    """
-    return np.einsum("eacs,fcbst->efabt", a, ash)
-
-
-def _shifted(coeffs):
-    lev = coeffs.shape[-1]
-    t = np.arange(lev)
-    shift_idx = (t[None, :] - t[:, None]) % lev  # [s, t] -> (t - s) % lev
-    return coeffs[..., shift_idx]
-
-
 @dataclass
 class MagicReport:
     """Residuals of the defining conditions of a magic unitary."""
@@ -182,51 +178,84 @@ class MagicReport:
         return self.ok
 
 
+def _magic_residuals(q, adj, den):
+    """Residuals of the magic-unitary identities of Q = den * P.
+
+    q has shape (n, n, d, d) and adj[i, j] is the adjoint of q[i, j].
+    Returns Q_ij·Q_ij - den Q_ij and Q_ij - Q_ij* per entry, and the row
+    and column sums minus den I per row and per column.
+    """
+    eye = den * np.eye(q.shape[2], dtype=q.dtype)
+    return (np.einsum("ijac,ijcb->ijab", q, q) - den * q, q - adj,
+            q.sum(axis=1) - eye, q.sum(axis=0) - eye)
+
+
+def _commutators(q):
+    """All pairwise commutators of the blocks q of shape (m, d, d)."""
+    ab = np.einsum("eac,fcb->efab", q, q)
+    return ab - ab.transpose(1, 0, 2, 3)
+
+
+def _magic_primes(u, bound):
+    """The leading primes p = 1 (mod l) whose product exceeds `bound`.
+
+    They lie below the float64 bound for d columns, so d * p^2 < 2^53 and
+    the int64 products of d x d residue blocks are exact.
+    """
+    pool = _primes_descending(u.level, _max_safe_prime(u.dim))
+    return leading_primes(pool, bound)
+
+
+def _entry_l1(u):
+    """Largest l1 norm of the coefficients of an entry of den * P."""
+    return int(np.abs(u.coeffs).sum(axis=-1).max())
+
+
 def check_magic(u, tol=DEFAULT_TOL):
     """Verify projection, self-adjointness and row/column sum conditions.
 
     Returns a MagicReport with the largest residual of each condition;
     exact inputs are tested exactly and report residual 0.0 on success.
+
+    Each identity is written once, for Q = den * P, and evaluated on the
+    complex blocks or, for exact input, on the residues of Q at every
+    embedding zeta -> root modulo primes p = 1 (mod l); the adjoint there
+    is Q evaluated at root^-1, transposed.  An entry of Q lies in
+    Z[zeta_l] and, with L the largest l1 norm of an entry's coefficients,
+    has |sigma(.)| <= L at every complex embedding sigma.  So a residual
+    entry is bounded by d L^2 + den L (Q·Q - den Q), 2L (Q - Q*) and
+    n L + den (row and column sums minus den I).  It is zero once it
+    vanishes at every embedding modulo primes whose product exceeds that
+    bound (`_exact.leading_primes`).  The primes satisfy d p^2 < 2^63,
+    which keeps the int64 sums of d residue products exact.
     """
     blocks = u.blocks
     n, d = u.n, u.dim
-    eye = np.eye(d)
-    pp = np.einsum("ijac,ijcb->ijab", blocks, blocks)
-    proj_res = np.abs(pp - blocks).max(axis=(2, 3))
-    herm_res = np.abs(blocks - blocks.conj().swapaxes(2, 3)).max(axis=(2, 3))
-    row_res = float(np.abs(blocks.sum(axis=1) - eye).max()) if n else 0.0
-    col_res = float(np.abs(blocks.sum(axis=0) - eye).max()) if n else 0.0
+    proj, herm, rows, cols = _magic_residuals(
+        blocks, blocks.conj().swapaxes(2, 3), 1)
+    proj_res = np.abs(proj).max(axis=(2, 3))
+    herm_res = np.abs(herm).max(axis=(2, 3))
+    row_res = float(np.abs(rows).max()) if n else 0.0
+    col_res = float(np.abs(cols).max()) if n else 0.0
     entry_res = np.maximum(proj_res, herm_res)
     worst = np.unravel_index(int(entry_res.argmax()), entry_res.shape)
+    vals = (float(proj_res.max()), float(herm_res.max()), row_res, col_res)
     if not u.is_exact:
-        vals = (float(proj_res.max()), float(herm_res.max()),
-                row_res, col_res)
         ok = all(v <= tol for v in vals)
         return MagicReport(ok, False, *vals, tuple(int(x) for x in worst))
 
-    lev = u.level
-    table = root_reduction_table(lev)
-    c = u.coeffs.reshape(n * n, d, d, lev)
-    csh = _shifted(c)
-    prods = _ga_products(c, csh)
-    sq = prods[np.arange(n * n), np.arange(n * n)]  # entrywise squares
-    proj_diff = sq - u.den * c
-    proj_ok = not (proj_diff.reshape(-1, lev) @ table).any()
-    conj_idx = (-np.arange(lev)) % lev
-    adj = np.swapaxes(c, 1, 2)[..., conj_idx]
-    herm_ok = not ((c - adj).reshape(-1, lev) @ table).any()
-    target = np.zeros((d, d, lev), dtype=np.int64)
-    target[np.arange(d), np.arange(d), 0] = u.den
-    grid = u.coeffs
-    rows_ok = not ((grid.sum(axis=1) - target).reshape(-1, lev) @ table).any()
-    cols_ok = not ((grid.sum(axis=0) - target).reshape(-1, lev) @ table).any()
-    ok = proj_ok and herm_ok and rows_ok and cols_ok
+    L, den = _entry_l1(u), u.den
+    bound = max(d * L * L + den * L, 2 * L, n * L + den)
+    holds = [True] * 4
+    for p in _magic_primes(u, bound):
+        qs = {root: u.modp(p, root) for root in embedding_roots(p, u.level)}
+        for root, q in qs.items():
+            adj = qs[pow(root, -1, p)].swapaxes(2, 3)
+            res = _magic_residuals(q, adj, den % p)
+            holds = [h and not (r % p).any() for h, r in zip(holds, res)]
     return MagicReport(
-        ok, True,
-        0.0 if proj_ok else float(proj_res.max()),
-        0.0 if herm_ok else float(herm_res.max()),
-        0.0 if rows_ok else row_res,
-        0.0 if cols_ok else col_res,
+        all(holds), True,
+        *(0.0 if h else v for h, v in zip(holds, vals)),
         tuple(int(x) for x in worst),
     )
 
@@ -388,9 +417,8 @@ class _FixSystem:
         self.ncols = self.n ** k
         self.level = magic.level if magic.is_exact else 1
         if magic.is_exact:
-            entry_l1 = int(np.abs(magic.coeffs).sum(axis=-1).max())
-            self.coeff_l1_bound = (entry_l1 ** k) * self.d ** max(k - 1, 0) \
-                + magic.den ** k
+            self.coeff_l1_bound = (_entry_l1(magic) ** k
+                                   * self.d ** max(k - 1, 0) + magic.den ** k)
         else:
             self.coeff_l1_bound = None
 
@@ -415,10 +443,8 @@ class _FixSystem:
             yield V.reshape(nsuf * d * d, self.ncols)
 
     def chunks_modp(self, p, root):
-        rp = _root_powers(root, p, self.level)
-        pm = (self.magic.coeffs * rp).sum(axis=-1) % p
         corr = pow(self.magic.den, self.k, p)
-        return self._chunks(pm, corr, p)
+        return self._chunks(self.magic.modp(p, root), corr, p)
 
     def chunks_complex(self):
         return self._chunks(self.magic.blocks, 1.0, None)
@@ -701,14 +727,12 @@ def image_commutative(h, tol=DEFAULT_TOL):
     magic = _as_magic(h)
     n, d = magic.n, magic.dim
     if magic.is_exact:
-        lev = magic.level
-        table = root_reduction_table(lev)
-        c = magic.coeffs.reshape(n * n, d, d, lev)
-        csh = _shifted(c)
-        ab = _ga_products(c, csh)
-        comm = ab - ab.transpose(1, 0, 2, 3, 4)
-        return not (comm.reshape(-1, lev) @ table).any()
-    b = magic.blocks.reshape(n * n, d, d)
-    ab = np.einsum("eac,fcb->efab", b, b)
-    comm = ab - ab.transpose(1, 0, 2, 3)
+        # a commutator entry of den * P is bounded by 2 d L^2 (check_magic)
+        bound = 2 * d * _entry_l1(magic) ** 2
+        return all(
+            not (_commutators(magic.modp(p, root).reshape(n * n, d, d))
+                 % p).any()
+            for p in _magic_primes(magic, bound)
+            for root in embedding_roots(p, magic.level))
+    comm = _commutators(magic.blocks.reshape(n * n, d, d))
     return bool(np.abs(comm).max() <= tol)

@@ -3,13 +3,13 @@
 An element of Z[zeta_l] is held as integer group-algebra coefficients
 {zeta_l^e : 0 <= e < l}: a Butson exponent e stands for zeta_l^e, so
 multiplication is index addition and conjugation is index reversal.  The
-relations among the roots enter in one place, the reduction modulo the l-th
-cyclotomic polynomial (`root_reduction_table`), through which the exact
-checks of `hadamard` and `quantum` test for zero.  The certified nullity
-engine tests instead at the embeddings zeta -> r modulo primes; it needs
-only the power-basis degree phi(l), the width of the same table.  The
-norm-form solvers decide which integers are |d|^2 for d in Z[zeta_l] at
-the orders where that is classical.
+relations among the roots enter `hadamard` in one place, the reduction
+modulo the l-th cyclotomic polynomial (`root_reduction_table`), through
+which its exact checks test for zero.  The certified nullity engine and
+the magic-unitary checks of `quantum` test instead at the embeddings
+zeta -> r modulo primes, under a norm bound (see `_exact`).  The norm-form
+solvers decide which integers are |d|^2 for d in Z[zeta_l] at the orders
+where that is classical.
 """
 
 from __future__ import annotations

@@ -204,6 +204,15 @@ def test_magic_and_klein_subcommands():
     assert env["payload"]["ok"] is True
 
 
+def test_magic_and_commutative_at_level_210():
+    spec = "f6_two_three:1/5,2/7"
+    env = envelope("magic", "--catalog", spec)
+    assert env["payload"]["ok"] is True
+    assert env["payload"]["exact"] is True
+    env = envelope("commutative", "--catalog", spec)
+    assert env["payload"]["commutative"] is False
+
+
 def test_butson_enum_payload():
     env = envelope("butson-enum", "--n", "4", "--l", "2")
     assert env["payload"]["count"] == 1

@@ -6,7 +6,8 @@ checks r at every embedding modulo primes whose product must exceed B_1;
 these stubs sit on that boundary and on a single vanishing embedding.
 The evaluation of the vectors must itself be exact, and the Hom-space
 residuals, contracted from the G chains, must reject a basis that is off
-by one coefficient.
+by one coefficient.  The prime loop must outvote a prime that moves a
+pivot.
 
 The certified inverse of an integer matrix must skip a prime that divides
 the determinant and must not accept a reconstruction until G·W = I holds
@@ -47,6 +48,23 @@ class _OneEntry:
     def chunks_modp(self, p, root):
         value = sum(c * pow(root, e, p) for e, c in enumerate(self.coeffs))
         yield np.array([[value % p]], dtype=np.int64)
+
+    def residuals_modp(self, p, root, X):
+        return residuals_from_chunks(self.chunks_modp(p, root), X, p)
+
+
+class _IntegerRows:
+    """A level-1 system with the given integer rows."""
+
+    level = 1
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=object)
+        self.ncols = self.rows.shape[1]
+        self.coeff_l1_bound = int(np.abs(self.rows).max())
+
+    def chunks_modp(self, p, root):
+        yield (self.rows % p).astype(np.int64)
 
     def residuals_modp(self, p, root, X):
         return residuals_from_chunks(self.chunks_modp(p, root), X, p)
@@ -95,6 +113,16 @@ def test_level_210_verifies_with_one_prime():
     constant[:, 0] = 1
     assert [b.tolist() for b in info["basis"]] == [constant.tolist()]
     assert info["tags"] == ["verify-primes=1", "lift-primes=1"]
+
+
+def test_a_prime_that_moves_a_pivot_is_outvoted():
+    # Modulo the first pool prime p0 the row [p0, 1] reads [0, 1]: its
+    # pivot moves to column 1 and the lift (1, 0) fails verification.
+    # Every other prime has the earlier pivot, column 0.
+    p0 = primes_one_mod(1, min(_max_safe_prime(2), 1 << 26), 1)[0]
+    cert = certified_nullity(_IntegerRows([[p0, 1]]))
+    assert cert.dim == 1
+    assert [b.tolist() for b in cert.basis] == [[[-1], [p0]]]
 
 
 def test_eval_vectors_is_exact_for_large_coefficients():

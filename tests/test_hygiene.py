@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package evaluates strings as code, no
-function keeps a nested helper that it never uses, and every function the
-package defines is referenced somewhere in the project."""
+function keeps a nested helper that it never uses, every function the
+package defines is referenced somewhere in the project, and no module calls
+the numpy set routines whose first call imports numpy.ma."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,22 @@ def test_no_eval_or_exec_calls():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id in ("eval", "exec")):
                 offenders.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert not offenders, offenders
+
+
+def test_no_numpy_set_routines():
+    """np.unique and np.setdiff1d import numpy.ma on their first call,
+    about 16-23 ms of every fresh process that reaches them."""
+    offenders = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                    and node.func.attr in ("unique", "setdiff1d")):
+                offenders.append(f"{path.name}:{node.lineno} "
+                                 f"np.{node.func.attr}")
     assert not offenders, offenders
 
 

@@ -10,9 +10,8 @@ import pytest
 from qperm._exact import (
     ModRREF,
     _max_safe_prime,
-    _primitive_residues,
+    embedding_roots,
     primes_one_mod,
-    unity_root_mod,
 )
 from qperm.errors import BudgetExceeded, NotHadamard
 from qperm.hadamard import (
@@ -27,7 +26,9 @@ from qperm.hadamard import (
     tensor,
 )
 from qperm.quantum import (
+    MagicUnitary,
     _HomSystem,
+    _magic_primes,
     check_magic,
     fix_dim_direct,
     g_power,
@@ -57,6 +58,42 @@ def test_float_magic_residuals_are_tiny():
     rep = check_magic(magic_from_hadamard(h))
     assert rep.ok
     assert rep.projection < 1e-12
+
+
+def test_exact_magic_check_reads_the_coefficients():
+    # the float blocks stay exact; only the coefficient tensor is off
+    u = magic_from_hadamard(tao())
+    coeffs = u.coeffs.copy()
+    coeffs[0, 1, 2, 3, 0] += 1
+    rep = check_magic(MagicUnitary(u.blocks, level=u.level, coeffs=coeffs,
+                                   den=u.den))
+    assert rep.exact
+    assert not rep.ok
+
+
+def test_exact_magic_check_rejects_a_defect_at_one_embedding():
+    u = magic_from_hadamard(fourier(5))
+    p0 = _magic_primes(u, 0)[0]
+    roots = embedding_roots(p0, 5)
+    # a small a + b zeta + e zeta^2 that vanishes at zeta -> roots[0] mod p0
+    b, e = np.meshgrid(np.arange(-400, 401), np.arange(-400, 401))
+    a = -(b * roots[0] + e * (roots[0] ** 2 % p0)) % p0
+    a = np.where(a > p0 // 2, a - p0, a)
+    hit = np.flatnonzero((np.abs(a) <= 400) & ((b != 0) | (e != 0)))[0]
+    defect = [int(a.flat[hit]), int(b.flat[hit]), int(e.flat[hit]), 0, 0]
+    values = [sum(c * pow(r, t, p0) for t, c in enumerate(defect)) % p0
+              for r in roots]
+    assert values[0] == 0 and values.count(0) == 1
+    coeffs = u.coeffs.copy()
+    coeffs[0, 0, 0, 0] += defect
+    bad = MagicUnitary(u.blocks, level=5, coeffs=coeffs, den=u.den)
+    # the norm bound d L^2 + den L stays below p0, so p0 alone decides and
+    # its other embeddings must reject the defect
+    L = int(np.abs(coeffs).sum(axis=-1).max())
+    assert 5 * L * L + 5 * L < p0
+    rep = check_magic(bad)
+    assert rep.exact
+    assert not rep.ok
 
 
 def test_magic_rejects_non_hadamard():
@@ -275,11 +312,9 @@ def _defining_chunks(g, n, k, l, s1, s2, p=None):
                    - s2 * np.kron(k2, np.eye(n ** k, dtype=np.int64))) % p
 
 
-def _prime_and_root(system):
-    level = system.level
-    p = primes_one_mod(level, min(_max_safe_prime(system.ncols), 1 << 26),
-                       1)[0]
-    return p, unity_root_mod(p, level)
+def _first_prime(system):
+    return primes_one_mod(system.level,
+                          min(_max_safe_prime(system.ncols), 1 << 26), 1)[0]
 
 
 def _defining_modp(system, p, root):
@@ -308,16 +343,15 @@ def test_hom_residuals_equal_built_chunks(h, k, l):
     """Chain-contracted residuals equal A @ X over the defining chunks."""
     system = _HomSystem(h, k, l)
     n, level = h.n, h.level
-    p, r = _prime_and_root(system)
+    p = _first_prime(system)
     X = np.random.default_rng([n, k, l]).integers(0, p, (system.ncols, 3))
-    for t in _primitive_residues(level):
-        root = pow(r, t, p)
+    for root in embedding_roots(p, level):
         built = [c @ X % p for c in _defining_modp(system, p, root)]
         built = np.array(built).reshape(n, n, n, n, -1, 3)  # e0 e1 f0 f1
         blocks = list(system.residuals_modp(p, root, X))
         assert len(blocks) == n * n
         got = np.array(blocks).reshape(n, n, n, n, -1, 3)  # e0 f0 e1 f1
-        assert (got.transpose(0, 2, 1, 3, 4, 5) == built).all(), t
+        assert (got.transpose(0, 2, 1, 3, 4, 5) == built).all(), root
 
 
 def _rref(chunks, ncols, p):
@@ -355,14 +389,13 @@ def test_hom_stream_spans_defining_system(h, k, l):
     """The n^2 chunk stream has the row space of the n^4 defining chunks."""
     system = _HomSystem(h, k, l)
     n, level = h.n, h.level
-    p, r = _prime_and_root(system)
-    for t in _primitive_residues(level):
-        root = pow(r, t, p)
+    p = _first_prime(system)
+    for root in embedding_roots(p, level):
         got, rows = _rref(system.chunks_modp(p, root), system.ncols, p)
         want, _ = _rref(_defining_modp(system, p, root), system.ncols, p)
         assert rows == n * n * n ** (k + l)
-        assert got.piv == want.piv, t
-        assert (got.R == want.R).all(), t
+        assert got.piv == want.piv, root
+        assert (got.R == want.R).all(), root
 
 
 @pytest.mark.parametrize(
