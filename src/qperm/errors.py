@@ -34,7 +34,8 @@ class BudgetExceeded(QpermError):
 
 
 class RankAmbiguous(QpermError):
-    """Float rank computation has no safe singular-value gap."""
+    """A float verdict has no safe gap: a singular value, or a distance
+    between compared values, lies between tol and _GAP_FACTOR * tol."""
 
 
 class MethodDisagreement(QpermError):

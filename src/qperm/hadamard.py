@@ -1,12 +1,13 @@
 """Complex Hadamard matrices: construction, classification, obstructions.
 
 A matrix is held either exactly (ButsonForm: level l and an integer exponent
-matrix, entry = zeta_l^e) or numerically (ComplexForm).  All classification
-routines are exact on the Butson path and tolerance-guarded on the float path.
+matrix, entry = zeta_l^e) or numerically (ComplexForm).  Classification is
+exact on the Butson path and compares floats by `scalars._tolerance_keys`.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections import Counter
@@ -28,14 +29,13 @@ from .errors import (
 from .scalars import (
     DEFAULT_TOL,
     NormVerdict,
+    _tolerance_keys,
     factorize,
     hermitian_norm_solvable,
     root_reduction_table,
 )
 
 LEVEL_INFINITE = math.inf
-
-_FINGERPRINT_DIGITS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +148,12 @@ def fourier(n):
 
 def dephase(h):
     """Equivalent matrix with all-ones first row and column (idempotent)."""
-    return pivot_dephase(h, 0, 0)
-
-
-def pivot_dephase(h, r, c):
-    """Dephase so that row r and column c become all ones."""
     if h.is_exact:
         e = h.exponents
-        out = (e - e[r][None, :] - e[:, c][:, None] + e[r, c]) % h.level
+        out = (e - e[0][None, :] - e[:, 0][:, None] + e[0, 0]) % h.level
         return Hadamard(exponents=out, level=h.level, provenance=h.provenance)
     m = h.entries
-    out = m * m[r].conj()[None, :] * m[:, c].conj()[:, None] * m[r, c]
+    out = m * m[0].conj()[None, :] * m[:, 0].conj()[:, None] * m[0, 0]
     return Hadamard(entries=out, provenance=h.provenance)
 
 
@@ -420,25 +415,23 @@ class RegularityReport:
         return self.regular
 
 
-def _cycle_cover_exact(exponents, lev):
-    """Partition a multiset of exponents into rotated prime cycles.
+def _cycle_cover(keys, rotations):
+    """Partition a multiset of value keys into rotated prime cycles.
 
-    A cycle with prime p | lev and base c covers {c + t*lev/p : t}.  Returns
-    the list of (p, c) cycles or None.  Any unimodular rotation of a p-cycle
-    inside the lev-th roots forces the rotation itself to be a lev-th root,
-    so searching bases among the present exponents is exhaustive.
+    rotations[p][k] lists the keys of the value of key k times the p-th
+    roots of unity, and the cycle (p, k) covers that list.  Returns the
+    cycles as (p, base key) pairs, or None.  The least live key lies on
+    the cycle it generates, so taking it as the next base loses no cover.
     """
-    primes = [p for p in factorize(lev)]
-    counts = Counter(int(e) % lev for e in exponents)
+    counts = Counter(keys)
 
     def rec():
         live = [e for e, c in counts.items() if c > 0]
         if not live:
             return []
         base = min(live)
-        for p in primes:
-            step = lev // p
-            members = [(base + t * step) % lev for t in range(p)]
+        for p, table in rotations.items():
+            members = table[base]
             if all(counts[m] > 0 for m in members):
                 for m in members:
                     counts[m] -= 1
@@ -452,74 +445,45 @@ def _cycle_cover_exact(exponents, lev):
     return rec()
 
 
-def _cycle_cover_float(values, n, tol):
-    """Float analogue; primes up to the number of values."""
-    primes = [p for p in range(2, n + 1) if is_prime(p)]
-    vals = list(values)
-
-    def take(target):
-        for idx, v in enumerate(vals):
-            if v is not None and abs(v - target) <= 10 * tol:
-                return idx
-        return None
-
-    def rec(remaining):
-        if remaining == 0:
-            return []
-        base_idx = min(
-            (i for i, v in enumerate(vals) if v is not None),
-            key=lambda i: (round(np.angle(vals[i]), 9), i),
-        )
-        base = vals[base_idx]
-        for p in primes:
-            if p > remaining:
-                break
-            taken = []
-            ok = True
-            for t in range(p):
-                target = base * np.exp(2j * np.pi * t / p)
-                idx = take(target)
-                if idx is None:
-                    ok = False
-                    break
-                taken.append((idx, vals[idx]))
-                vals[idx] = None
-            if ok:
-                rest = rec(remaining - p)
-                if rest is not None:
-                    return [(p, base)] + rest
-            for idx, v in taken:
-                vals[idx] = v
-        return None
-
-    return rec(len(vals))
+def _row_product_keys(h, i, j, tol):
+    """Keys of the products H_ik conj(H_jk) over k, their rotation tables
+    for `_cycle_cover`, and the certificate value of each key.  Exactly, a
+    key is an exponent and the primes divide the level (a p-cycle of l-th
+    roots has an l-th root as ratio); in float form the primes run up to n
+    and the products and their rotations share `_tolerance_keys`, numbered
+    by least angle in (-pi, pi], each standing for its first product."""
+    if h.is_exact:
+        lev = h.level
+        prods = (h.exponents[i] - h.exponents[j]) % lev
+        turned = [(prods[:, None] + np.arange(0, lev, lev // p)) % lev
+                  for p in factorize(lev)]
+        flat = np.concatenate([prods] + [t.ravel() for t in turned])
+    else:
+        prods = h.entries[i] * h.entries[j].conj()
+        turned = [prods[:, None] * np.exp(2j * np.pi * np.arange(p) / p)
+                  for p in range(2, h.n + 1) if is_prime(p)]
+        flat = _tolerance_keys(
+            np.concatenate([prods] + [t.ravel() for t in turned]), tol)
+        least = np.full(flat.max() + 1, np.inf)
+        np.minimum.at(least, flat[:h.n], np.angle(prods))
+        flat = np.argsort(np.argsort(least, kind="stable"))[flat]
+    keys = flat[:h.n].tolist()
+    blocks = np.split(flat[h.n:], np.cumsum([t.size for t in turned]))
+    rotations = {t.shape[1]: dict(zip(keys, b.reshape(t.shape).tolist()))
+                 for t, b in zip(turned, blocks)}
+    return keys, rotations, dict(zip(keys[::-1], prods.tolist()[::-1]))
 
 
 def is_regular(h, tol=DEFAULT_TOL):
-    """Do all row scalar products decompose into rotated prime cycles?"""
+    """Do all row scalar products decompose into rotated prime cycles?
+    A cycle (p, c) covers c zeta_p^t: c is an exponent or a product."""
     report = RegularityReport(True)
-    if h.is_exact:
-        lev = h.level
-        for i in range(h.n):
-            for j in range(h.n):
-                if i == j:
-                    continue
-                d = (h.exponents[i] - h.exponents[j]) % lev
-                cover = _cycle_cover_exact(d, lev)
-                if cover is None:
-                    return RegularityReport(False, failing_pair=(i, j))
-                report.certificates[(i, j)] = cover
-        return report
-    m = h.entries
-    for i in range(h.n):
-        for j in range(h.n):
-            if i == j:
-                continue
-            prods = m[i] * m[j].conj()
-            cover = _cycle_cover_float(prods, h.n, tol)
-            if cover is None:
-                return RegularityReport(False, failing_pair=(i, j))
-            report.certificates[(i, j)] = cover
+    for i, j in itertools.permutations(range(h.n), 2):
+        keys, rotations, value = _row_product_keys(h, i, j, tol)
+        cover = _cycle_cover(keys, rotations)
+        if cover is None:
+            return RegularityReport(False, failing_pair=(i, j))
+        report.certificates[(i, j)] = [(p, value[c]) for p, c in cover]
     return report
 
 
@@ -529,37 +493,34 @@ def certificate_resum(h, report, tol=DEFAULT_TOL):
         return False
     for (i, j), cycles in report.certificates.items():
         if h.is_exact:
-            d = Counter(
-                int(x) for x in
-                (h.exponents[i] - h.exponents[j]) % h.level
-            )
-            got = Counter()
-            for p, c in cycles:
-                step = h.level // p
-                for t in range(p):
-                    got[(c + t * step) % h.level] += 1
-            if got != d:
-                return False
+            lev = h.level
+            keys = np.concatenate([(h.exponents[i] - h.exponents[j]) % lev, [
+                (c + t * lev // p) % lev for p, c in cycles for t in range(p)]])
         else:
-            prods = sorted(
-                (h.entries[i] * h.entries[j].conj()),
-                key=lambda z: (round(z.real, 6), round(z.imag, 6)),
-            )
-            got = sorted(
-                (c * np.exp(2j * np.pi * t / p)
-                 for p, c in cycles for t in range(p)),
-                key=lambda z: (round(z.real, 6), round(z.imag, 6)),
-            )
-            if len(prods) != len(got) or any(
-                abs(a - b) > 20 * tol for a, b in zip(prods, got)
-            ):
-                return False
+            keys = _tolerance_keys(np.concatenate([
+                h.entries[i] * h.entries[j].conj(),
+                [c * cmath.exp(2j * math.pi * t / p)
+                 for p, c in cycles for t in range(p)]]), tol)
+        if Counter(keys[:h.n].tolist()) != Counter(keys[h.n:].tolist()):
+            return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------------
+
+
+def _quadruples(h):
+    """Q[i, k, j, l] = H_ij H*_kj H*_il H_kl, as exponents mod the level or
+    as complex values; Q[:, r, :, c] is H dephased at row r, column c."""
+    if h.is_exact:
+        e = h.exponents
+        rows = e[:, None, :] - e[None, :, :]
+        return (rows[:, :, :, None] - rows[:, :, None, :]) % h.level
+    m = h.entries
+    rows = m[:, None, :] * m[None, :, :].conj()
+    return rows[:, :, :, None] * rows[:, :, None, :].conj()
 
 
 def fingerprint(h):
@@ -571,28 +532,16 @@ def fingerprint(h):
     g = gcd(l, all q), as the pair (l/g, histogram of q/g).  Every dephased
     entry is a quadruple and every quadruple a product of dephased entries,
     so l/g is the level of the dephased matrix, whatever level H is written
-    at.  On float input it is the sorted tuple of the products, each rounded
-    to _FINGERPRINT_DIGITS decimals.
+    at.  On float input it is the array z[i, k, j, l] of the products,
+    compared as a multiset of `scalars._tolerance_keys` (see `equivalent`).
     """
-    if h.is_exact:
-        e = h.exponents
-        rows = e[:, None, :] - e[None, :, :]
-        q = (rows[:, :, :, None] - rows[:, :, None, :]) % h.level
-        g = math.gcd(h.level, int(np.gcd.reduce(q, axis=None)))
-        lev = h.level // g
-        hist = np.bincount((q // g).ravel(), minlength=lev)
-        return lev, tuple(hist.tolist())
-    m = h.entries
-    rows = m[:, None, :] * m[None, :, :].conj()
-    z = rows[:, :, :, None] * rows[:, :, None, :].conj()
-    return tuple(np.sort(np.round(z, _FINGERPRINT_DIGITS).ravel()).tolist())
-
-
-def _value_keys(h, common_level):
-    """Per-entry keys: exponents at the common level, or rounded entries."""
-    if h.is_exact:
-        return h.exponents * (common_level // h.level)
-    return np.round(h.entries, _FINGERPRINT_DIGITS)
+    q = _quadruples(h)
+    if not h.is_exact:
+        return q
+    g = math.gcd(h.level, int(np.gcd.reduce(q, axis=None)))
+    lev = h.level // g
+    hist = np.bincount((q // g).ravel(), minlength=lev)
+    return lev, tuple(hist.tolist())
 
 
 def _perm_equal_search(a_keys, b_keys):
@@ -627,28 +576,32 @@ def equivalent(h, k, max_order=8):
     """Decide equivalence under row/column permutations and scalings.
 
     Two Butson matrices are compared exactly; an exact/float pair is
-    compared in float form.
+    compared in float form.  The search compares H dephased at each pivot
+    with K dephased, read off the quadruples as exponents at the common
+    level or as the joint tolerance keys of the two float fingerprints.
     """
     if h.n != k.n:
         return False
     if h.is_exact != k.is_exact:
         h, k = (Hadamard(entries=x.entries, provenance=x.provenance)
                 for x in (h, k))
-    if fingerprint(h) != fingerprint(k):
-        return False
+    if h.is_exact:
+        if fingerprint(h) != fingerprint(k):
+            return False
+        common = math.lcm(h.level, k.level)
+        qh, qk = (_quadruples(x) * (common // x.level) for x in (h, k))
+    else:
+        qh, qk = _tolerance_keys(np.stack([fingerprint(h), fingerprint(k)]))
+        if not np.array_equal(np.sort(qh, axis=None), np.sort(qk, axis=None)):
+            return False
     if h.n > max_order:
         raise OrderTooLarge(
             f"order {h.n} > {max_order}: fingerprints match but the "
             "exhaustive search is out of range (verdict Unknown)"
         )
-    common = math.lcm(h.level, k.level) if h.is_exact else None
-    b_keys = _value_keys(dephase(k), common)
-    for r in range(h.n):
-        for c in range(h.n):
-            a_keys = _value_keys(pivot_dephase(h, r, c), common)
-            if _perm_equal_search(a_keys, b_keys):
-                return True
-    return False
+    b_keys = qk[:, 0, :, 0]
+    return any(_perm_equal_search(qh[:, r, :, c], b_keys)
+               for r in range(h.n) for c in range(h.n))
 
 
 def random_equivalent(h, seed):
@@ -702,8 +655,8 @@ def butson_enumerate(n, lev, mode="any_witness", budget=10_000_000):
 
     Rows after the first are drawn from the zero-sum pool in strictly
     increasing lexicographic order (rows of a Hadamard matrix are distinct,
-    so this loses no class).  Arriving at an empty result with complete=True
-    proves the class is empty.
+    so this loses no class).  The search either runs to the end, so an
+    empty result proves the class is empty, or raises BudgetExceeded.
     """
     if mode not in ("any_witness", "all_dephased_classes"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -738,10 +691,8 @@ def butson_enumerate(n, lev, mode="any_witness", budget=10_000_000):
         return Hadamard(exponents=exps, level=lev,
                         provenance=f"butson_enumerate({n},{lev})")
 
-    complete = True
-
     def rec(chosen, mask):
-        nonlocal nodes, configs, complete
+        nonlocal nodes, configs
         if len(chosen) == n - 1:
             configs += 1
             found.append(emit(chosen))
@@ -770,7 +721,7 @@ def butson_enumerate(n, lev, mode="any_witness", budget=10_000_000):
                 reps.append(h)
                 classes.append(h)
         found = classes
-    return EnumerationResult(n, lev, mode, found, complete, nodes, configs)
+    return EnumerationResult(n, lev, mode, found, True, nodes, configs)
 
 
 # ---------------------------------------------------------------------------

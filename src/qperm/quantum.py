@@ -227,9 +227,11 @@ def check_magic(u, tol=DEFAULT_TOL):
     n L + den (row and column sums minus den I).  It is zero once it
     vanishes at every embedding modulo primes whose product exceeds that
     bound (`_exact.leading_primes`).  The primes satisfy d p^2 < 2^63,
-    which keeps the int64 sums of d residue products exact.
+    which keeps the int64 sums of d residue products exact.  An exact
+    failure reports its residual at zeta = e^(2 pi i / l), from coeffs/den.
     """
-    blocks = u.blocks
+    blocks = u.blocks if not u.is_exact else u.coeffs @ np.exp(
+        2j * np.pi * np.arange(u.level) / u.level) / u.den
     n, d = u.n, u.dim
     proj, herm, rows, cols = _magic_residuals(
         blocks, blocks.conj().swapaxes(2, 3), 1)

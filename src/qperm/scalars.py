@@ -10,6 +10,12 @@ the magic-unitary checks of `quantum` test instead at the embeddings
 zeta -> r modulo primes, under a norm bound (see `_exact`).  The norm-form
 solvers decide which integers are |d|^2 for d in Z[zeta_l] at the orders
 where that is classical.
+
+Floats are equal within a tolerance tol, different from _GAP_FACTOR * tol
+on, and RankAmbiguous in between: `float_nullity` applies this to singular
+values, and `_tolerance_keys` turns complex values into exact keys by it,
+through which `hadamard` makes every float comparison, so no verdict
+depends on where a rounding boundary falls.
 """
 
 from __future__ import annotations
@@ -20,8 +26,52 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import RankAmbiguous
+
 #: Default absolute tolerance for float comparisons across the package.
 DEFAULT_TOL = 1e-9
+
+#: Margin, as a factor, that float quantities must keep from the tolerance.
+_GAP_FACTOR = 10.0
+
+
+def _tolerance_keys(values, tol=DEFAULT_TOL):
+    """Exact integer keys of complex values, in the shape of `values`.
+
+    In the max norm max(|dRe|, |dIm|), values within tol share a key,
+    values with different keys are at least s = _GAP_FACTOR * tol apart,
+    and a pair in between raises RankAmbiguous.  Values are binned in
+    square cells of side s; a cell, or two neighbouring cells, merge if
+    together they spread at most tol, stay apart if their boxes are s
+    apart, and raise otherwise.  A cluster spans at most 2 x 2 cells, all
+    merged with its least, whose order numbers the keys.
+    """
+    z = np.asarray(values, dtype=np.complex128)
+    pts = np.stack([z.real.ravel(), z.imag.ravel()], axis=1)
+    span = _GAP_FACTOR * tol
+    cells = np.floor(pts / span).astype(np.int64)
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    cells, pts = cells[order], pts[order]
+    new = np.concatenate(([True], (cells[1:] != cells[:-1]).any(axis=1)))
+    starts = np.flatnonzero(new)
+    lo, hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+    index = {c: i for i, c in enumerate(map(tuple, cells[starts].tolist()))}
+    # each cell with itself and with the neighbours after it
+    a, b = np.array([(i, index[x + dx, y + dy]) for (x, y), i in index.items()
+                     for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+                     if (x + dx, y + dy) in index]).T
+    gap = np.maximum(lo[b] - hi[a], lo[a] - hi[b]).max(axis=1)
+    spread = (np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])).max(axis=1)
+    merge = spread <= tol
+    if (~merge & (gap < span)).any():
+        raise RankAmbiguous(f"values closer than {_GAP_FACTOR:g} tol spread "
+                            f"{spread[~merge & (gap < span)].max():.3e}")
+    label = np.arange(len(starts))
+    np.minimum.at(label, b[merge], a[merge])
+    rank = np.cumsum(label == np.arange(len(label))) - 1
+    keys = np.empty(len(pts), dtype=np.int64)
+    keys[order] = rank[label[np.cumsum(new) - 1]]
+    return keys.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

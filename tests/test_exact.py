@@ -11,7 +11,9 @@ pivot.
 
 The certified inverse of an integer matrix must skip a prime that divides
 the determinant and must not accept a reconstruction until G·W = I holds
-exactly; Fraction Gauss-Jordan is its oracle.
+exactly; Fraction Gauss-Jordan is its oracle.  The streaming RREF modulo a
+prime must give the pivots and rows of Python-integer Gauss-Jordan, however
+its rows are chunked.
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from qperm._exact import (
+    ModRREF,
     _eval_vectors_mod,
     _max_safe_prime,
     _verify_basis,
@@ -203,3 +206,71 @@ def test_inverse_of_singular_and_empty_matrices():
     with pytest.raises(ValueError):
         certified_inverse([[0, 0], [0, 0]])
     assert certified_inverse([]) == []
+
+
+def _rref_mod(rows, ncols, p):
+    """Pivots and rows of the reduced row echelon form mod p, by
+    Gauss-Jordan over Python integers."""
+    m = [[int(x) % p for x in row] for row in rows]
+    piv = []
+    for c in range(ncols):
+        r = len(piv)
+        hit = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        piv.append(c)
+    return piv, m[:len(piv)]
+
+
+def _stream(rng, p):
+    """Rows of a random block stream mod p: dense of full or deficient
+    rank, with zero and duplicate rows mixed in."""
+    ncols = int(rng.integers(1, 13))
+    rank = int(rng.integers(0, ncols + 1))
+    basis = rng.integers(0, p, (rank, ncols))
+    rows = rng.integers(0, p, (int(rng.integers(rank, 3 * ncols + 2)), rank))
+    rows = rows @ basis % p if rank else np.zeros((len(rows), ncols), int)
+    extra = [np.zeros((int(rng.integers(0, 3)), ncols), dtype=rows.dtype)]
+    if len(rows):
+        extra.append(rows[rng.integers(0, len(rows), int(rng.integers(0, 4)))])
+    rows = np.concatenate([rows] + extra)
+    return ncols, rows[rng.permutation(len(rows))]
+
+
+def _chunks(rng, rows):
+    cuts = np.sort(rng.integers(0, len(rows) + 1, int(rng.integers(0, 4))))
+    return np.split(rows, cuts)
+
+
+@pytest.mark.parametrize(
+    "p", [2, 3, 10007, primes_one_mod(1, _max_safe_prime(12), 1)[0]])
+def test_mod_rref_matches_integer_gauss_jordan(p):
+    rng = np.random.default_rng(p)
+    for _ in range(13):
+        ncols, rows = _stream(rng, p)
+        piv, ref = _rref_mod(rows.tolist(), ncols, p)
+        for _split in range(2):
+            rr = ModRREF(ncols, p)
+            for chunk in _chunks(rng, rows):
+                rr.process(chunk)
+            rr.finalize()
+            assert rr.piv == piv
+            assert rr.R.shape == (len(piv), ncols)
+            assert rr.R.astype(np.int64).tolist() == ref
+        if piv:
+            target = int(rng.integers(1, len(piv) + 1))
+            rr = ModRREF(ncols, p, target_rank=target)
+            for chunk in _chunks(rng, rows):
+                rr.process(chunk)
+            assert rr.saturated and rr.rank >= target
+            rr.finalize()
+            # its rows are reduced and span part of the row space
+            assert _rref_mod(rr.R.tolist(), ncols, p)[0] == rr.piv
+            assert _rref_mod(ref + rr.R.tolist(), ncols, p)[0] == piv

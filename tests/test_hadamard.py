@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qperm.errors import ParseError, UnknownName
@@ -45,6 +45,7 @@ from qperm.hadamard import (
     write_but,
     write_cmat,
 )
+from qperm.scalars import DEFAULT_TOL, _tolerance_keys
 
 EXACT_CATALOG = [
     fourier(2),
@@ -103,6 +104,19 @@ def turns(t):
     return complex(cmath.exp(2j * math.pi * t))
 
 
+def same_keys(a, b):
+    """Are two equally shaped float arrays equal entry by entry, compared
+    through their joint tolerance keys at DEFAULT_TOL?"""
+    ka, kb = _tolerance_keys(np.stack([a, b]), DEFAULT_TOL)
+    return bool((ka == kb).all())
+
+
+def same_multiset(a, b):
+    """Are two float arrays equal as multisets, by their tolerance keys?"""
+    ka, kb = _tolerance_keys(np.stack([a, b]), DEFAULT_TOL)
+    return np.array_equal(np.sort(ka, axis=None), np.sort(kb, axis=None))
+
+
 FLOAT_CATALOG = [
     pytest.param(haagerup(turns(0.13)), id="haagerup:0.13"),
     pytest.param(petrescu(turns(0.07)), id="petrescu:0.07"),
@@ -116,7 +130,10 @@ FLOAT_CATALOG = [
 @pytest.mark.parametrize("seed", [1, 2])
 def test_equivalence_and_fingerprint_invariance(h, seed):
     moved = random_equivalent(h, seed)
-    assert fingerprint(h) == fingerprint(moved)
+    if h.is_exact:
+        assert fingerprint(h) == fingerprint(moved)
+    else:
+        assert same_multiset(fingerprint(h), fingerprint(moved))
     assert equivalent(h, moved)
 
 
@@ -146,12 +163,15 @@ def test_fingerprint_matches_loop_reference():
         assert dlev == lev // g == level(dephase(h))
         assert {q // g: c for q, c in qs.items()} == \
             {q: c for q, c in enumerate(hist) if c}
-        # the float path rounds the same products once
-        want = sorted((round(z.real, 6), round(z.imag, 6))
-                      for q, c in qs.items()
-                      for z in [cmath.exp(2j * math.pi * q / lev)] * c)
+        # the float path keeps the same products, in the layout [i, k, j, l]
+        want = np.array([[[[cmath.exp(2j * math.pi * (e[i][j] - e[k][j]
+                                                     - e[i][m] + e[k][m])
+                                      / lev)
+                            for m in range(n)] for j in range(n)]
+                          for k in range(n)] for i in range(n)])
         got = fingerprint(Hadamard(entries=h.entries))
-        assert [(z.real, z.imag) for z in got] == want
+        assert got.shape == (n, n, n, n)
+        assert same_keys(got, want)
 
 
 def test_exact_equivalence_is_float_free():
@@ -230,10 +250,13 @@ def test_dita_generic_parameters_stay_hadamard():
 
 
 def test_regular_certificates_resum():
-    for h in (fourier(5), tao(), haagerup(Fraction(1, 4))):
+    for h in (fourier(5), tao(), haagerup(Fraction(1, 4)),
+              haagerup(turns(0.13)), petrescu(turns(0.07)), f4q(turns(0.37)),
+              f6_two_three(turns(0.11), turns(0.23))):
         rep = is_regular(h)
-        assert rep.regular
-        assert certificate_resum(h, rep)
+        assert rep.regular, h.provenance
+        assert len(rep.certificates) == h.n * (h.n - 1)
+        assert certificate_resum(h, rep), h.provenance
 
 
 def test_bjorck_froberg_is_not_regular():
@@ -330,6 +353,44 @@ def test_obstruction_table_shape():
     assert len(grid) == 3 and len(grid[0]) == 3
     assert grid[0][0].outcome == "exists"
     assert grid[1][0].outcome == "obstructed"
+
+
+def on_circle(a):
+    """The unimodular value with real part a in (-1, 1) and Im > 0."""
+    return complex(a, math.sqrt(1 - a * a))
+
+
+def test_rounding_boundary_is_no_boundary():
+    # Re q = 0.1234565 lies on a 6-digit rounding boundary
+    for q in (on_circle(0.1234565), on_circle(0.3)):
+        h = f4q(q)
+        assert all(equivalent(h, random_equivalent(h, s)) for s in range(40))
+
+
+def far_from_coincidence(q):
+    """Is q at least 1e-6 turns from every root of unity of order 12 d,
+    d <= 8?  The quadruple products of the three families are q^a zeta,
+    |a| <= 4 and zeta a 12th root, so two distinct ones coincide only
+    there."""
+    t = cmath.phase(q) / (2 * math.pi)
+    return all(abs(t * m - round(t * m)) / m > 1e-6
+               for m in range(12, 97, 12))
+
+
+@given(st.sampled_from([f4q, haagerup, petrescu]),
+       st.one_of(st.integers(-999_999, 999_998).map(lambda k: (k + .5) / 1e6),
+                 st.integers(-999_999_999, 999_999_998)
+                 .map(lambda k: (k + .5) / 1e9),
+                 st.sampled_from([0.1234565, 0.1234567895, -0.4999995])),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_float_random_moves_stay_equivalent(family, re_q, seed):
+    # real parts on 6- and 9-digit rounding boundaries
+    q = on_circle(re_q)
+    assume(far_from_coincidence(q))
+    h = family(q)
+    assert not h.is_exact
+    assert equivalent(h, random_equivalent(h, seed))
 
 
 @given(st.integers(2, 5), st.integers(0, 20))

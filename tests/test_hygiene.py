@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package evaluates strings as code, no
 function keeps a nested helper that it never uses, every function the
-package defines is referenced somewhere in the project, and no module calls
-the numpy set routines whose first call imports numpy.ma."""
+package defines is referenced somewhere in the project, no module calls
+the numpy set routines whose first call imports numpy.ma, and `hadamard`
+compares floats through tolerance keys, never by rounding."""
 
 import ast
 from pathlib import Path
@@ -41,6 +42,21 @@ def test_no_numpy_set_routines():
                     and node.func.attr in ("unique", "setdiff1d")):
                 offenders.append(f"{path.name}:{node.lineno} "
                                  f"np.{node.func.attr}")
+    assert not offenders, offenders
+
+
+def test_hadamard_does_not_round():
+    path = PACKAGE / "hadamard.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id in ("round", "around")
+                or isinstance(f, ast.Attribute) and f.attr in ("round", "around")
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("np", "numpy")):
+            offenders.append(f"hadamard.py:{node.lineno}")
     assert not offenders, offenders
 
 

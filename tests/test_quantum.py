@@ -41,6 +41,7 @@ from qperm.quantum import (
     permutation_magic,
     poincare_series,
 )
+from qperm.scalars import DEFAULT_TOL
 
 
 def test_hadamard_magic_is_exactly_magic():
@@ -69,6 +70,16 @@ def test_exact_magic_check_reads_the_coefficients():
                                    den=u.den))
     assert rep.exact
     assert not rep.ok
+    # every identity the exact check rejects reports a visible residual
+    good = check_magic(u)
+    assert good.ok
+    for name in ("projection", "selfadjoint", "row_sums", "col_sums"):
+        assert getattr(good, name) == 0.0
+        assert getattr(rep, name) == 0.0 or getattr(rep, name) > DEFAULT_TOL
+    # the entry (0, 1) is neither a projection nor self-adjoint, and the
+    # sums of row 0 and of column 1 are off
+    assert min(rep.projection, rep.selfadjoint, rep.row_sums,
+               rep.col_sums) > DEFAULT_TOL
 
 
 def test_exact_magic_check_rejects_a_defect_at_one_embedding():
