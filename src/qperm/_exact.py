@@ -38,9 +38,9 @@ p = 1 (mod l) at an image zeta -> root:
 * `chunks_modp(p, root)` yields row chunks of A, which elimination reads;
 * `residuals_modp(p, root, X)` yields blocks whose rows, together, are
   the rows of A·X mod p, for X of shape (ncols, nvec) with entries in
-  [0, p).  Verification reads only these, so a system may compute them
-  without building its rows; `residuals_from_chunks` derives them from
-  the chunk stream.
+  [0, p).  Verification reads only these.  Every system computes its
+  own A·X blocks, contracting X against the factors its rows are built
+  from, so no row is built to verify.
 
 Verification bounds the residual.  Each entry of A has coefficients of
 l1 norm at most coeff_l1_bound, each entry x_j of a vector has integer
@@ -494,31 +494,12 @@ def _lift_basis(ncols, level, pivots, kept):
     return basis
 
 
-def residuals_from_chunks(chunks, X, p):
-    """Yield chunk @ X mod p for each chunk; gathers nonzeros when sparse.
-
-    X has shape (ncols, nvec) with entries in [0, p); the float64 products
-    are exact for ncols * p^2 < 2^53, which the engine's primes satisfy.
-    """
-    for chunk in chunks:
-        arr = np.asarray(chunk, dtype=np.float64)
-        mask = arr != 0
-        nnz = int(np.count_nonzero(mask))
-        if nnz * 16 < arr.size:
-            rows, cols = np.nonzero(mask)
-            resid = np.zeros((arr.shape[0], X.shape[1]))
-            np.add.at(resid, rows, arr[rows, cols, None] * X[cols, :])
-            yield np.mod(resid, p)
-        else:
-            yield np.mod(arr @ X, p)
-
-
 def _verify_basis(system, basis, prime_pool, tags):
     """Exact verification of A·x = 0 for every basis vector.
 
     The zero test of the module docstring with B = B_1, applied to the
-    residual blocks of system.residuals_modp; the rows of A are never
-    needed.  ||x_j||_1 in B_1 is read from the vectors.
+    A·X blocks that system.residuals_modp computes without rows of A.
+    ||x_j||_1 in B_1 is read from the vectors.
     """
     if not basis:
         return True
@@ -554,14 +535,14 @@ _MAX_LIFT_PRIMES = 6
 def certified_nullity(system, candidates=None):
     """Certified exact nullity of a streamed system over Q(zeta_l).
 
-    `system` exposes ncols, level, coeff_l1_bound, chunks_modp(p, root)
-    for elimination and residuals_modp(p, root, X) for verification (see
-    the module docstring).  When `candidates` (exact integer cyclo vectors
-    known to be independent solutions elsewhere) are supplied, they are
-    verified against *this* system and the rank bound uses early stopping;
-    on any failure the prime loop of the module docstring runs.  It
-    raises CertificationFailed after _MAX_LIFT_PRIMES kept primes or at
-    the end of the pool.
+    `system` exposes ncols, level, coeff_l1_bound, the row stream
+    chunks_modp(p, root) for elimination, and residuals_modp(p, root, X),
+    its own A·X blocks, for verification (see the module docstring).
+    `candidates`, exact integer cyclo vectors known to be independent
+    solutions elsewhere, are verified against *this* system, and the rank
+    bound then stops early; on any failure the prime loop of the module
+    docstring runs.  It raises CertificationFailed after
+    _MAX_LIFT_PRIMES kept primes or at the end of the pool.
     """
     ncols = system.ncols
     level = max(system.level, 1)

@@ -73,6 +73,8 @@ class Hadamard:
             self.level = None
             self.n = ent.shape[0]
             self._entries_cache = ent
+        if self.n == 0:
+            raise MalformedMatrix("matrix must have order at least 1")
 
     # -- basic views -------------------------------------------------------
 

@@ -95,35 +95,35 @@ class SetPartition:
 
 
 def join(p, q):
-    """Smallest partition refined by both p and q (union-find on points)."""
-    return SetPartition.from_labels(_join_roots(p, q))
-
-
-def _join_roots(p, q):
-    """Union-find root of each point in the join of p and q."""
+    """Smallest partition refined by both p and q."""
     if p.size != q.size:
         raise ShapeMismatch("sizes differ")
-    parent = list(range(p.size))
+    blocks = _join_masks(_block_masks(p), _block_masks(q))
+    return SetPartition.from_labels(
+        [next(b for b in blocks if b >> pt & 1) for pt in range(p.size)])
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+def _block_masks(part):
+    """The blocks of part as bitmasks of their 0-based points."""
+    masks = [0] * part.block_count
+    for pt, lab in enumerate(part.rgs):
+        masks[lab] |= 1 << pt
+    return masks
 
-    for part in (p, q):
-        first = {}
-        for pt, lab in enumerate(part.rgs):
-            if lab in first:
-                union(first[lab], pt)
+
+def _join_masks(p_masks, q_masks):
+    """Block bitmasks of the join: each block of q merges those it meets."""
+    blocks = p_masks
+    for mask in q_masks:
+        rest = []
+        for b in blocks:
+            if b & mask:
+                mask |= b
             else:
-                first[lab] = pt
-    return [find(x) for x in range(p.size)]
+                rest.append(b)
+        rest.append(mask)
+        blocks = rest
+    return blocks
 
 
 @lru_cache(maxsize=None)
@@ -240,12 +240,12 @@ class GramWeingarten:
 @lru_cache(maxsize=None)
 def _join_sizes(k, family):
     parts = enum_partitions(k, family)
+    masks = [_block_masks(part) for part in parts]
     m = len(parts)
     sizes = [[0] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            sz = len(set(_join_roots(parts[a], parts[b])))
-            sizes[a][b] = sizes[b][a] = sz
+            sizes[a][b] = sizes[b][a] = len(_join_masks(masks[a], masks[b]))
     return parts, tuple(tuple(r) for r in sizes)
 
 

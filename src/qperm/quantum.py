@@ -28,7 +28,6 @@ from ._exact import (
     embedding_roots,
     float_nullity,
     leading_primes,
-    residuals_from_chunks,
 )
 from .errors import (
     BudgetExceeded,
@@ -409,6 +408,9 @@ class _FixSystem:
     impose sum_J (P_{i_1 j_1} ... P_{i_k j_k})_{ab} xi_J = xi_I delta_ab.
     Exact rows are scaled by den^k so all coefficients are cyclotomic
     integers; the stream yields one chunk per value of i_1.
+
+    Verification does not use the stream: residuals_modp contracts the
+    candidate vectors against the blocks one tensor site at a time.
     """
 
     def __init__(self, magic, k):
@@ -417,6 +419,8 @@ class _FixSystem:
         self.n = magic.n
         self.d = magic.dim
         self.ncols = self.n ** k
+        # rows n^k d^2 times columns n^k
+        _check_budget(self.ncols ** 2 * self.d ** 2, "fixed-point system")
         self.level = magic.level if magic.is_exact else 1
         if magic.is_exact:
             self.coeff_l1_bound = (_entry_l1(magic) ** k
@@ -452,7 +456,36 @@ class _FixSystem:
         return self._chunks(self.magic.blocks, 1.0, None)
 
     def residuals_modp(self, p, root, X):
-        return residuals_from_chunks(self.chunks_modp(p, root), X, p)
+        """Residuals A·X mod p, contracted one site at a time, rows unbuilt.
+
+        X has shape (ncols, nvec), entries in [0, p).  Row (I, a, b) is
+        sum_J (Q_{i_1 j_1} ... Q_{i_k j_k})_{ab} X[J] - den^k X[I] delta_ab
+        for Q = den * P mod p.  Site 1 gives W[i_1, a, c, J', v] =
+        sum_j Q[i_1, j, a, c] X[(j, J'), v]; each later site t contracts
+        j_t and the bond c against Q[i_t, j_t, c, b], so no array exceeds
+        n^k d^2 nvec entries.  A site adds n products of at most (p-1)^2
+        per bond value, `group` bond values at once, to the reduced sum of
+        the groups before: below 2^53, exact in float64.  The engine's
+        primes have p^2 < 2^53 / (n^k + 1), so n (p-1)^2 + p <= n^k p^2 <
+        2^53 and group >= 1.
+        """
+        n, d = self.n, self.d
+        pm = self.magic.modp(p, root).astype(np.float64)
+        X = np.asarray(X, dtype=np.float64)
+        group = ((1 << 53) - p) // (n * (p - 1) ** 2)
+        W = np.mod(np.tensordot(pm, X.reshape(n, -1), ([1], [0])), p)
+        for _ in range(self.k - 1):
+            W = W.reshape(W.shape[:3] + (n, -1))
+            acc = 0
+            for c in range(0, d, group):
+                bond = slice(c, c + group)
+                acc = np.mod(acc + np.tensordot(W[:, :, bond], pm[:, :, bond],
+                                                ([2, 3], [2, 1])), p)
+            # acc[I, a, rest, i_t, b] -> W[(I, i_t), a, b, rest]
+            W = acc.transpose(0, 3, 1, 4, 2).reshape(-1, d, d, acc.shape[2])
+        diag = np.arange(d)
+        W[:, diag, diag] -= pow(self.magic.den, self.k, p) * X[:, None]
+        yield np.mod(W, p).reshape(-1, X.shape[1])
 
 
 class _HomSystem:
@@ -487,6 +520,8 @@ class _HomSystem:
     """
 
     def __init__(self, h, k, l):
+        # rows times columns of the stream, before g_tensor's n^5 l booleans
+        _check_budget(h.n ** (2 * (k + l) + 2), "hom-space system")
         self.h = h
         self.k = k
         self.l = l
@@ -609,27 +644,19 @@ def fix_dim_direct(p, k, tol=DEFAULT_TOL, return_info=False):
     if k == 0:
         info = {"method": "trivial", "gap": None, "tags": [], "basis": None}
         return (1, info) if return_info else 1
-    _check_budget((magic.n ** k) * magic.dim ** 2 * magic.n ** k,
-                  "fixed-point system")
-    sys = _FixSystem(magic, k)
-    if magic.is_exact:
-        cert = certified_nullity(sys)
-        dim = cert.dim
-        info = {"method": "exact", "gap": None, "tags": cert.tags,
-                "basis": cert.basis}
-    else:
-        dim, gap = float_nullity(sys.chunks_complex(), sys.ncols, tol=tol)
-        info = {"method": "float", "gap": gap, "tags": [], "basis": None}
+    dim, info = _nullity(_FixSystem(magic, k), tol)
     return (dim, info) if return_info else dim
 
 
-def _hom_nullity(h, k, l, tol, candidates=None):
-    sys = _HomSystem(h, k, l)
-    if h.is_exact:
-        cert = certified_nullity(sys, candidates=candidates)
-        return cert.dim, {"method": "exact", "gap": None, "tags": cert.tags}
-    dim, gap = float_nullity(sys.chunks_complex(), sys.ncols, tol=tol)
-    return dim, {"method": "float", "gap": gap, "tags": []}
+def _nullity(system, tol, candidates=None):
+    """Certified nullity of an exact system, or the gap-guarded float
+    nullity of a float one (which has no coeff_l1_bound)."""
+    if system.coeff_l1_bound is None:
+        dim, gap = float_nullity(system.chunks_complex(), system.ncols, tol)
+        return dim, {"method": "float", "gap": gap, "tags": [], "basis": None}
+    cert = certified_nullity(system, candidates=candidates)
+    return cert.dim, {"method": "exact", "gap": None, "tags": cert.tags,
+                      "basis": cert.basis}
 
 
 def hom_dim_via_g(h, k, l, tol=DEFAULT_TOL, return_info=False):
@@ -645,10 +672,7 @@ def hom_dim_via_g(h, k, l, tol=DEFAULT_TOL, return_info=False):
         raise NotHadamard("rows are not orthogonal")
     if k < 0 or l < 0:
         raise ValueError("k and l must be nonnegative")
-    n = h.n
-    # the stream's rows times its columns: n^2 chunks of n^(k+l) rows
-    _check_budget(n ** (k + l + 2) * n ** (k + l), "hom-space system")
-    dim, info = _hom_nullity(h, k, l, tol)
+    dim, info = _nullity(_HomSystem(h, k, l), tol)
     return (dim, info) if return_info else dim
 
 
@@ -691,27 +715,19 @@ def invariants(h, kmax, method="both", tol=DEFAULT_TOL):
     tag = {"direct": "direct-fix", "g_tensor": "g-tensor",
            "both": "both-agree"}[method]
     values = [1]
-    methods = [tag]
     for k in range(1, kmax + 1):
-        d_dir = None
-        basis = None
-        if need_direct:
-            d_dir, info = fix_dim_direct(magic, k, tol=tol, return_info=True)
-            basis = info.get("basis")
-        d_g = None
-        if need_g:
-            # rows times columns of the (0, k) stream, as in hom_dim_via_g
-            _check_budget(h.n ** (k + 2) * h.n ** k, "hom-space system")
-            d_g, _ = _hom_nullity(h, 0, k, tol, candidates=basis)
-        if need_direct and need_g and d_dir != d_g:
+        d_dir, info = (fix_dim_direct(magic, k, tol=tol, return_info=True)
+                       if need_direct else (None, {"basis": None}))
+        d_g = (_nullity(_HomSystem(h, 0, k), tol, info["basis"])[0]
+               if need_g else d_dir)
+        if d_dir is not None and d_dir != d_g:
             raise MethodDisagreement(
                 f"c_{k}: direct fixed points give {d_dir}, "
                 f"G-chain system gives {d_g}"
             )
-        values.append(d_dir if d_dir is not None else d_g)
-        methods.append(tag)
+        values.append(d_g)
     prov = h.provenance or f"hadamard(n={h.n})"
-    return InvariantSeries(prov, tuple(values), tuple(methods))
+    return InvariantSeries(prov, tuple(values), (tag,) * len(values))
 
 
 def poincare_series(s):

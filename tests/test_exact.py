@@ -4,9 +4,9 @@ A residual entry r of A·x is an algebraic integer with |sigma(r)| <= B_1 =
 ncols * coeff_l1_bound * max ||x_j||_1 at every embedding.  Verification
 checks r at every embedding modulo primes whose product must exceed B_1;
 these stubs sit on that boundary and on a single vanishing embedding.
-The evaluation of the vectors must itself be exact, and the Hom-space
-residuals, contracted from the G chains, must reject a basis that is off
-by one coefficient.  The prime loop must outvote a prime that moves a
+The evaluation of the vectors must itself be exact, and the residuals of
+both systems, contracted without building a row, must reject a basis that
+is off by one coefficient.  The prime loop must outvote a prime that moves a
 pivot.
 
 The certified inverse of an integer matrix must skip a prime that divides
@@ -31,11 +31,15 @@ from qperm._exact import (
     fraction_matrix_inverse,
     primes_one_mod,
     rational_reconstruct,
-    residuals_from_chunks,
     unity_root_mod,
 )
 from qperm.hadamard import f6_two_three, fourier, tao
-from qperm.quantum import _HomSystem, fix_dim_direct
+from qperm.quantum import (
+    _FixSystem,
+    _HomSystem,
+    fix_dim_direct,
+    magic_from_hadamard,
+)
 
 
 class _OneEntry:
@@ -48,12 +52,15 @@ class _OneEntry:
         self.level = len(coeffs)
         self.coeff_l1_bound = coeff_l1_bound
 
-    def chunks_modp(self, p, root):
+    def _modp(self, p, root):
         value = sum(c * pow(root, e, p) for e, c in enumerate(self.coeffs))
-        yield np.array([[value % p]], dtype=np.int64)
+        return np.array([[value % p]], dtype=np.int64)
+
+    def chunks_modp(self, p, root):
+        yield self._modp(p, root)
 
     def residuals_modp(self, p, root, X):
-        return residuals_from_chunks(self.chunks_modp(p, root), X, p)
+        yield self._modp(p, root) @ X % p
 
 
 class _IntegerRows:
@@ -70,7 +77,7 @@ class _IntegerRows:
         yield (self.rows % p).astype(np.int64)
 
     def residuals_modp(self, p, root, X):
-        return residuals_from_chunks(self.chunks_modp(p, root), X, p)
+        yield (self.rows % p).astype(np.int64) @ X % p
 
 
 def _verify(entry, coeff_l1_bound):
@@ -144,14 +151,22 @@ def test_eval_vectors_is_exact_for_large_coefficients():
             assert got[v, c] == expect
 
 
-@pytest.mark.parametrize("h", [fourier(4), tao(), fourier(5)],
-                         ids=lambda h: h.provenance)
-def test_hom_verification_rejects_a_perturbed_basis(h):
+PERTURBED_CASES = [
+    (h, _HomSystem(h, 0, 2)) for h in (fourier(4), tao(), fourier(5))
+] + [(h, _FixSystem(magic_from_hadamard(h), 2)) for h in (fourier(4), tao())]
+
+
+@pytest.mark.parametrize(
+    "h,system", PERTURBED_CASES,
+    ids=[("fix-" if isinstance(system, _FixSystem) else "") + h.provenance
+         for h, system in PERTURBED_CASES])
+def test_hom_verification_rejects_a_perturbed_basis(h, system):
+    """The contracted residuals of either system reject a basis off by
+    one coefficient, and the candidates fall back to the prime loop."""
     dim, info = fix_dim_direct(h, 2, return_info=True)
     basis = info["basis"]
     bad = [b.copy() for b in basis]
     bad[0][0, 0] += 1
-    system = _HomSystem(h, 0, 2)
     pool = primes_one_mod(h.level, min(_max_safe_prime(system.ncols),
                                        1 << 26), 4)
     assert _verify_basis(system, basis, pool, [])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qperm.errors import ParseError, UnknownName
+from qperm.errors import MalformedMatrix, ParseError, UnknownName
 from qperm.hadamard import (
     Hadamard,
     _catalog_witness,
@@ -305,6 +305,11 @@ def test_parse_errors(tmp_path):
     bad.write_text("2 2\n0 0\n0 x\n")
     with pytest.raises(ParseError):
         read_but(str(bad))
+    # an empty matrix is malformed in either form
+    with pytest.raises(MalformedMatrix):
+        Hadamard(entries=np.zeros((0, 0)))
+    with pytest.raises(MalformedMatrix):
+        Hadamard(exponents=np.zeros((0, 0)), level=2)
 
 
 def test_one_norm_catalog_values():

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package evaluates strings as code, no
 function keeps a nested helper that it never uses, every function the
 package defines is referenced somewhere in the project, no module calls
-the numpy set routines whose first call imports numpy.ma, and `hadamard`
-compares floats through tolerance keys, never by rounding."""
+the numpy set routines whose first call imports numpy.ma, `hadamard`
+compares floats through tolerance keys, never by rounding, and no system
+of `quantum` rebuilds its rows to verify."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,19 @@ def test_hadamard_does_not_round():
                 and isinstance(f.value, ast.Name)
                 and f.value.id in ("np", "numpy")):
             offenders.append(f"hadamard.py:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_verification_does_not_rebuild_rows():
+    """Every residuals_modp of quantum contracts its own A·X blocks; none
+    reads a row chunk stream."""
+    path = PACKAGE / "quantum.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, FUNCTION) and node.name == "residuals_modp":
+            offenders += [f"quantum.py:{sub.lineno}" for sub in ast.walk(node)
+                          if isinstance(sub, ast.Attribute)
+                          and sub.attr in ("chunks_modp", "_chunks")]
     assert not offenders, offenders
 
 

@@ -27,6 +27,7 @@ from qperm.hadamard import (
 )
 from qperm.quantum import (
     MagicUnitary,
+    _FixSystem,
     _HomSystem,
     _magic_primes,
     check_magic,
@@ -363,6 +364,40 @@ def test_hom_residuals_equal_built_chunks(h, k, l):
         assert len(blocks) == n * n
         got = np.array(blocks).reshape(n, n, n, n, -1, 3)  # e0 f0 e1 f1
         assert (got.transpose(0, 2, 1, 3, 4, 5) == built).all(), root
+
+
+FIX_RESIDUAL_MAGICS = [(name, magic_from_hadamard(h)) for name, h in [
+    ("F2", fourier(2)), ("F3", fourier(3)), ("F4", fourier(4)),
+    ("F5", fourier(5)), ("tao", tao()), ("haagerup", haagerup(Fraction(1, 4))),
+    ("F2xF2", tensor(fourier(2), fourier(2))), ("f4q", f4q(Fraction(1, 8))),
+]]
+# A dense grid of 16 x 16 blocks over n = 2, not magic: at k = 2 and 3 one
+# float64 sum over its whole bond would pass 2^53, so a site must split the
+# bond into groups.
+FIX_RESIDUAL_MAGICS.append(("dense-grid", MagicUnitary(
+    np.zeros((2, 2, 16, 16)), level=1,
+    coeffs=np.random.default_rng(4).integers(-3, 0, (2, 2, 16, 16, 1)))))
+FIX_RESIDUAL_CASES = [
+    (u, k, name) for name, u in FIX_RESIDUAL_MAGICS for k in (1, 2, 3)
+] + [(magic_from_hadamard(f6_two_three(Fraction(1, 5), Fraction(2, 7))), 1,
+      "level210")]
+
+
+@pytest.mark.parametrize(
+    "u,k", [case[:2] for case in FIX_RESIDUAL_CASES],
+    ids=[f"{name}-{k}" for _, k, name in FIX_RESIDUAL_CASES])
+def test_fix_residuals_equal_built_chunks(u, k):
+    """Site-by-site residuals equal A @ X over the built row chunks, for
+    X near p, where the float64 sums come closest to 2^53."""
+    system = _FixSystem(u, k)
+    p = _first_prime(system)
+    X = p - 1 - np.random.default_rng([u.n, u.dim, k]).integers(
+        0, 1 << 10, (system.ncols, 3))
+    for root in embedding_roots(p, system.level):
+        built = np.vstack([c @ X % p for c in system.chunks_modp(p, root)])
+        got = np.vstack(list(system.residuals_modp(p, root, X)))
+        assert got.shape == built.shape
+        assert (got == built).all(), root
 
 
 def _rref(chunks, ncols, p):
