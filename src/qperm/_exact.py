@@ -35,12 +35,14 @@ A system A is never held whole.  It exposes `ncols`, `level`,
 `coeff_l1_bound` and two streams, both evaluated modulo a prime
 p = 1 (mod l) at an image zeta -> root:
 
-* `chunks_modp(p, root)` yields row chunks of A, which elimination reads;
-* `residuals_modp(p, root, X)` yields blocks whose rows, together, are
-  the rows of A·X mod p, for X of shape (ncols, nvec) with entries in
-  [0, p).  Verification reads only these.  Every system computes its
-  own A·X blocks, contracting X against the factors its rows are built
-  from, so no row is built to verify.
+* `chunks_modp(p, root)` yields row chunks of A, or of rows C with the
+  row space of A mod p, which elimination reads;
+* `residuals_modp(p, root, X)` yields blocks, for X of shape
+  (ncols, nvec) with entries in [0, p), whose rows all vanish only if
+  A·X vanishes mod p: the rows of A·X itself, or of C·X for rows C with
+  A = M·C, M over Z[zeta_l].  Verification reads only these.  Every
+  system computes its own blocks, contracting X against the factors its
+  rows are built from, so no row is built to verify.
 
 Verification bounds the residual.  Each entry of A has coefficients of
 l1 norm at most coeff_l1_bound, each entry x_j of a vector has integer
@@ -488,8 +490,9 @@ def _lift_basis(ncols, level, pivots, kept):
         den = math.lcm(*(c.denominator for c in entries.flat))
         vec = np.zeros((ncols, level), dtype=object)
         vec[col, 0] = den
-        vec[pivots, :phideg] = np.vectorize(int, otypes=[object])(
-            -den * entries)
+        vec[pivots, :phideg] = np.array(
+            [-(c.numerator * (den // c.denominator)) for c in entries.flat],
+            dtype=object).reshape(entries.shape)
         basis.append(vec)
     return basis
 
@@ -497,8 +500,8 @@ def _lift_basis(ncols, level, pivots, kept):
 def _verify_basis(system, basis, prime_pool, tags):
     """Exact verification of A·x = 0 for every basis vector.
 
-    The zero test of the module docstring with B = B_1, applied to the
-    A·X blocks that system.residuals_modp computes without rows of A.
+    The zero test of the module docstring with B = B_1, applied through
+    the blocks that system.residuals_modp computes without rows of A.
     ||x_j||_1 in B_1 is read from the vectors.
     """
     if not basis:

@@ -12,7 +12,6 @@ cyclotomic arithmetic; other inputs use tolerance-guarded numerics with
 a mandatory singular-value gap.
 """
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -494,29 +493,35 @@ class _HomSystem:
     Unknowns are the entries of the n^l x n^k matrix T; the equations
     state that sandwiching T with identity legs commutes with the G-index
     chains of matching lengths.  The defining system has one chunk
-    s1*(I (x) K1^T) - s2*(K2 (x) I) per choice of the four pinned boundary
-    indices (row endpoints e0, e1 and column endpoints f0, f1), with K1,
-    K2 the chains of k and l steps: n^4 chunks of n^(k+l) equations each.
+    A_{e0e1f0f1} = s1*(I (x) K1^T) - s2*(K2 (x) I) per choice of the four
+    pinned boundary indices (row endpoints e0, e1 and column endpoints f0,
+    f1), with K1, K2 the chains of k and l steps: n^4 chunks of n^(k+l)
+    equations each.
 
-    The stream yields the same row space from n^2 chunks.  Only the end
-    factors of a chain depend on the endpoints, and each is a sum over
-    the columns of H of rank-one factors:
+    Only the end factors of a chain depend on the endpoints, and each is a
+    sum over the columns of H of rank-one factors:
     G[m,e0,b,f0] = sum_j v_j(e0,f0) H_mj conj(H_bj) with
     v_j = conj(H_e0j) H_f0j, G[e1,m,f1,b] = sum_c u_c(e1,f1) conj(H_mc) H_bc
     with u_c = H_e1c conj(H_f1c), and at zero steps
-    G[e1,e0,f1,f0] = sum_c u_c v_c.  So the chunk of (e0, e1, f0, f1) is
-    sum_{j,c} v_j u_c C_jc, where C_jc is built from the chains that start
-    at H_.j conj(H_.j), end at conj(H_.c) H_.c and are delta_jc at zero
-    steps.  For a Hadamard H the columns V = (v_j), U = (u_c) satisfy
-    V*V = U*U = n^2 I, so the n^4 defining chunks are the image of the n^2
-    chunks n^2 C_jc under the isometry (V (x) U) / n^2.  Over C the stacked
-    singular values are therefore those of the defining system; modulo p
-    (p does not divide n) the row space is the same, and with it the
-    canonical RREF and every lifted basis.  One chunk is yielded per
-    (j, c), the chains of one start column j built together.
+    G[e1,e0,f1,f0] = sum_c u_c v_c.  So, exactly in Z[zeta_l],
 
-    Verification does not use the stream: residuals_modp contracts the
-    defining chains against the candidate T directly.
+        A_{e0e1f0f1} = sum_{j,c} v_j(e0,f0) u_c(e1,f1) C_jc,
+
+    where C_jc is built from the chains that start at H_.j conj(H_.j), end
+    at conj(H_.c) H_.c and are delta_jc at zero steps.  The stream yields
+    the n^2 chunks C_jc.  For a Hadamard H the columns V = (v_j),
+    U = (u_c) satisfy V*V = U*U = n^2 I, so the defining chunks are the
+    image of the n^2 chunks n^2 C_jc under the isometry (V (x) U) / n^2.
+    Over C the stacked singular values are therefore those of the defining
+    system; modulo p (p does not divide n) the row space is the same, and
+    with it the canonical RREF and every lifted basis.
+
+    Verification contracts the same chunks: if C_jc X = 0 at an embedding
+    modulo p for every (j, c), the identity gives A X = 0 there, so the
+    zero test keeps the bound of A (coeff_l1_bound).  A true null vector
+    of A has C_jc X = (V (x) U)* A X / n^4 = 0, so nothing valid is
+    rejected.  Rows and residuals run the same chains, built for all end
+    columns c of one start column j at once (_column_chains).
     """
 
     def __init__(self, h, k, l):
@@ -538,44 +543,61 @@ class _HomSystem:
         else:
             self.coeff_l1_bound = None
 
+    def _column_chains(self, g4, hm, hc, Y1, Y2, p):
+        """Per start column j, the chains to every end column c, times Y.
+
+        hm and hc are H and its conjugate (residues modulo p, or complex).
+        Yields (right, left) with right[c] = C1_jc^T Y1 and
+        left[c] = C2_jc Y2, for C1, C2 the chains of k and l steps;
+        modulo p both are left below n p^2 for the caller to reduce.
+        C1^T is a chain of G with the m and b axes swapped, whose start
+        and end factors transpose with them.
+        """
+        # starts[m, b, j] = H_mj conj(H_bj), ends[c, m, b] = conj(H_mc) H_bc
+        starts = hm[:, None, :] * hc[None, :, :]
+        ends = (hc[:, None, :] * hm[None, :, :]).transpose(2, 0, 1)
+        if p is not None:
+            starts %= p
+            ends %= p
+        g4t = np.ascontiguousarray(g4.transpose(2, 3, 0, 1))
+        ends_t = ends.transpose(0, 2, 1)
+        eye = np.eye(self.n, dtype=g4.dtype)
+        for j in range(self.n):
+            start = starts[:, :, j]
+            yield (_chain_apply(g4t, self.k, start.T, ends_t, eye[j], Y1, p),
+                   _chain_apply(g4, self.l, start, ends, eye[j], Y2, p))
+
     def _chunks(self, g4, hm, hc, s1, s2, p):
         """Chunks s1*(I (x) C1_jc^T) - s2*(C2_jc (x) I), per (j, c).
 
-        hm and hc are H and its conjugate (residues modulo p, or complex),
-        s1 and s2 the multipliers of the chains.
+        s1 and s2 are the multipliers of the chains.
         """
         n, k, l = self.n, self.k, self.l
         nk, nl = n ** k, n ** l
         idx = np.arange(nl)
         jdx = np.arange(nk)
-        # starts[m, b, j] = H_mj conj(H_bj), ends[c, m, b] = conj(H_mc) H_bc
-        starts = hm[:, None, :] * hc[None, :, :]
-        ends = (hc[:, None, :] * hm[None, :, :]).transpose(2, 0, 1)
-        eye = np.eye(n, dtype=g4.dtype)
         eye_k, eye_l = np.eye(nk, dtype=g4.dtype), np.eye(nl, dtype=g4.dtype)
-        if p is not None:
-            starts %= p
-            ends %= p
-        for j in range(n):
-            start = np.ascontiguousarray(starts[:, :, j])
-            k1 = _chain_apply(g4, k, start, ends, eye[j], eye_k, p)
-            k2 = _chain_apply(g4, l, start, ends, eye[j], eye_l, p)
+        for k1, k2 in self._column_chains(g4, hm, hc, eye_k, eye_l, p):
             if p is None:
                 k1, k2 = s1 * k1, s2 * k2
             else:
                 k1, k2 = s1 * (k1 % p) % p, s2 * (k2 % p) % p
             for c in range(n):
                 a4 = np.zeros((nl, nk, nl, nk), dtype=k1.dtype)
-                a4[idx, :, idx, :] = k1[c].T
+                a4[idx, :, idx, :] = k1[c]
                 a4[:, jdx, :, jdx] -= k2[c]
                 if p is not None:
                     a4 %= p
                 yield a4.reshape(nl * nk, nl * nk)
 
-    def chunks_modp(self, p, root):
+    def _modp_factors(self, p, root):
+        """G, H and conj(H) at the embedding zeta -> root modulo p."""
         rp = _root_powers(root, p, self.level)
         E = self.h.exponents
-        return self._chunks(self.gt.modp(p, root), rp[E], rp[-E % self.level],
+        return self.gt.modp(p, root), rp[E], rp[-E % self.level]
+
+    def chunks_modp(self, p, root):
+        return self._chunks(*self._modp_factors(p, root),
                             pow(self.n, self.s1_pow, p),
                             pow(self.n, self.s2_pow, p), p)
 
@@ -587,38 +609,29 @@ class _HomSystem:
                             None)
 
     def residuals_modp(self, p, root, X):
-        """Residuals A·X mod p, contracted from the chains, rows unbuilt.
+        """Residuals C_jc·X mod p of the stream's chunks, rows unbuilt.
 
         X has shape (ncols, nvec) with entries in [0, p); column v is
-        vec(T_v) for T_v of shape n^l x n^k.  The chunk of boundary tuple
-        (e0, e1, f0, f1) applied to T is s1*T*K1 - s2*K2*T, with K1, K2
-        its chains of k and l steps.  One block is yielded per (e0, f0),
-        its rows ordered (e1, f1, I, J) with chunk row I*n^k + J.  T*K1
-        is the transpose of a chain of G with the m and b axes swapped,
-        whose endpoints swap with them.
+        vec(T_v) for T_v of shape n^l x n^k, and C_jc applied to T is
+        s1*T*C1_jc - s2*C2_jc*T.  One block is yielded per start column j:
+        the rows of chunks_modp's chunks (j, 0..n-1) times X, ordered
+        (c, I, J) with chunk row I*n^k + J.  By the class identity the
+        defining residuals are sum_{j,c} v_j u_c (C_jc X), so blocks that
+        vanish make A·X vanish.
         """
         n, k, l = self.n, self.k, self.l
         nk, nl = n ** k, n ** l
         nvec = X.shape[1]
-        g4 = self.gt.modp(p, root)
-        g4t = np.ascontiguousarray(g4.transpose(2, 3, 0, 1))
         X = np.asarray(X, dtype=np.int64).reshape(nl, nk, nvec)
         # the scalars s1, s2 ride on T, where they cost n^(k+l) products
         T2 = (pow(n, self.s2_pow, p) * X % p).reshape(nl, -1)
         T1 = (pow(n, self.s1_pow, p) * X % p).transpose(1, 0, 2)
         T1 = np.ascontiguousarray(T1).reshape(nk, -1)
-        # ends[(e1, f1), m, b] = G[e1, m, f1, b], and likewise for G^t
-        ends = g4.transpose(0, 2, 1, 3).reshape(n * n, n, n)
-        ends_t = g4t.transpose(0, 2, 1, 3).reshape(n * n, n, n)
-        for e0, f0 in itertools.product(range(n), repeat=2):
-            # at zero steps the chain is G[e1, e0, f1, f0], the start read
-            # at the end pair
-            start = g4[:, e0, :, f0]
-            left = _chain_apply(g4, l, start, ends, start.ravel(), T2, p)
-            start = g4t[:, f0, :, e0]
-            right = _chain_apply(g4t, k, start, ends_t, start.ravel(), T1, p)
-            right = right.reshape(n, n, nk, nl, nvec).transpose(1, 0, 3, 2, 4)
-            block = (right - left.reshape(n, n, nl, nk, nvec)) % p
+        for right, left in self._column_chains(*self._modp_factors(p, root),
+                                               T1, T2, p):
+            # right[c, J, (I, v)] = (T C1_jc)[I, J], left[c, I, (J, v)]
+            right = right.reshape(n, nk, nl, nvec).transpose(0, 2, 1, 3)
+            block = (right - left.reshape(n, nl, nk, nvec)) % p
             yield block.reshape(-1, nvec)
 
 

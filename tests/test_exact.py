@@ -38,6 +38,7 @@ from qperm.quantum import (
     _FixSystem,
     _HomSystem,
     fix_dim_direct,
+    hom_dim_via_g,
     magic_from_hadamard,
 )
 
@@ -153,17 +154,31 @@ def test_eval_vectors_is_exact_for_large_coefficients():
 
 PERTURBED_CASES = [
     (h, _HomSystem(h, 0, 2)) for h in (fourier(4), tao(), fourier(5))
-] + [(h, _FixSystem(magic_from_hadamard(h), 2)) for h in (fourier(4), tao())]
+] + [(h, _FixSystem(magic_from_hadamard(h), 2)) for h in (fourier(4), tao())
+] + [(h, _HomSystem(h, k, l)) for h, k, l in ((tao(), 1, 1),
+                                              (fourier(4), 1, 2))]
+
+
+def _perturbed_id(h, system):
+    if isinstance(system, _FixSystem):
+        return "fix-" + h.provenance
+    if system.k:
+        return f"hom-{system.k}-{system.l}-{h.provenance}"
+    return h.provenance
 
 
 @pytest.mark.parametrize(
     "h,system", PERTURBED_CASES,
-    ids=[("fix-" if isinstance(system, _FixSystem) else "") + h.provenance
-         for h, system in PERTURBED_CASES])
+    ids=[_perturbed_id(h, system) for h, system in PERTURBED_CASES])
 def test_hom_verification_rejects_a_perturbed_basis(h, system):
     """The contracted residuals of either system reject a basis off by
-    one coefficient, and the candidates fall back to the prime loop."""
-    dim, info = fix_dim_direct(h, 2, return_info=True)
+    one coefficient, and the candidates fall back to the prime loop.  A
+    Hom system with k > 0 takes its own basis, so that the transposed
+    chain T·K1 is exercised."""
+    if isinstance(system, _HomSystem) and system.k:
+        dim, info = hom_dim_via_g(h, system.k, system.l, return_info=True)
+    else:
+        dim, info = fix_dim_direct(h, 2, return_info=True)
     basis = info["basis"]
     bad = [b.copy() for b in basis]
     bad[0][0, 0] += 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qperm.quantum as quantum
 from qperm._exact import (
     ModRREF,
     _max_safe_prime,
@@ -352,18 +353,54 @@ HOM_RESIDUAL_CASES = [
     "h,k,l", HOM_RESIDUAL_CASES,
     ids=[f"{h.provenance}-{k}-{l}" for h, k, l in HOM_RESIDUAL_CASES])
 def test_hom_residuals_equal_built_chunks(h, k, l):
-    """Chain-contracted residuals equal A @ X over the defining chunks."""
+    """Chain-contracted residuals equal the stream's chunks C_jc @ X, and
+    sum_{j,c} v_j u_c (C_jc @ X) equals the defining chunks @ X."""
     system = _HomSystem(h, k, l)
     n, level = h.n, h.level
     p = _first_prime(system)
     X = np.random.default_rng([n, k, l]).integers(0, p, (system.ncols, 3))
+    E = h.exponents
     for root in embedding_roots(p, level):
+        blocks = list(system.residuals_modp(p, root, X))
+        assert len(blocks) == n
+        got = np.array(blocks).reshape(n, n, -1, 3)  # j c rows
+        stream = [c @ X % p for c in system.chunks_modp(p, root)]
+        assert (got == np.array(stream).reshape(n, n, -1, 3)).all(), root
+        rp = np.array([pow(root, t, p) for t in range(level)], dtype=np.int64)
+        hm, hc = rp[E], rp[-E % level]
+        v = hc[:, None, :] * hm[None, :, :] % p  # v[e0, f0, j]
+        u = hm[:, None, :] * hc[None, :, :] % p  # u[e1, f1, c]
+        mixed = np.einsum("efc,jcrv->jefrv", u, got) % p
+        mixed = np.einsum("gij,jefrv->geifrv", v, mixed) % p
         built = [c @ X % p for c in _defining_modp(system, p, root)]
         built = np.array(built).reshape(n, n, n, n, -1, 3)  # e0 e1 f0 f1
+        assert (mixed == built).all(), root
+
+
+@pytest.mark.parametrize("h,k,l", [(tao(), 1, 1), (fourier(4), 1, 2),
+                                   (fourier(3), 0, 3)],
+                         ids=["tao-1-1", "fourier(4)-1-2", "fourier(3)-0-3"])
+def test_hom_residuals_run_one_chain_pair_per_start_column(
+        monkeypatch, h, k, l):
+    """residuals_modp yields n blocks per embedding from 2n chain calls,
+    one pair per start column j, all end columns c at once."""
+    calls = []
+    chain_apply = quantum._chain_apply
+
+    def counted(*args):
+        calls.append(args[1])
+        return chain_apply(*args)
+
+    monkeypatch.setattr(quantum, "_chain_apply", counted)
+    system = _HomSystem(h, k, l)
+    p = _first_prime(system)
+    X = np.ones((system.ncols, 2), dtype=np.int64)
+    for root in embedding_roots(p, h.level)[:2]:
+        calls.clear()
         blocks = list(system.residuals_modp(p, root, X))
-        assert len(blocks) == n * n
-        got = np.array(blocks).reshape(n, n, n, n, -1, 3)  # e0 f0 e1 f1
-        assert (got.transpose(0, 2, 1, 3, 4, 5) == built).all(), root
+        assert len(blocks) == h.n
+        assert all(b.shape == (h.n * system.ncols, 2) for b in blocks)
+        assert sorted(calls) == sorted([k, l] * h.n)
 
 
 FIX_RESIDUAL_MAGICS = [(name, magic_from_hadamard(h)) for name, h in [
