@@ -640,16 +640,30 @@ class EnumerationResult:
 
 
 def _zero_sum_pool(n, lev):
-    """All vectors e in [lev]^{n-1} with 1 + sum zeta^{e_j} = 0, sorted."""
+    """The zero-sum indicator over [lev]^{n-1} and the dephased row pool.
+
+    zero[e] holds when 1 + sum_j zeta^{e_j} = 0, that is when the row with
+    exponents (0, e) is orthogonal to the all-ones first row.  The sums are
+    built from the rows of `root_reduction_table(lev)` with n - 1 broadcast
+    additions, the first coordinate most significant.  The pool is the
+    (m, n-1) array of the true indices of zero in lexicographic
+    (`itertools.product`) order.
+    """
     table = root_reduction_table(lev)
-    pool = []
-    for tup in itertools.product(range(lev), repeat=n - 1):
-        acc = table[0].copy()
-        for e in tup:
-            acc += table[e]
-        if not acc.any():
-            pool.append(tup)
-    return pool, table
+    sums = table[0]
+    for _ in range(n - 1):
+        sums = sums[..., None, :] + table
+    zero = ~sums.any(axis=-1)
+    return np.argwhere(zero), zero
+
+
+def _orthogonal_rows(pool, zero, lev, idx):
+    """Mask of the pool rows s orthogonal to the pool row r = pool[idx].
+
+    1 + sum_j zeta^{r_j - s_j} = 0 exactly when (r - s) mod lev is in the
+    pool, so each mask is one lookup in the zero-sum indicator.
+    """
+    return zero[tuple(((pool[idx] - pool) % lev).T)]
 
 
 def butson_enumerate(n, lev, mode="any_witness", budget=10_000_000):
@@ -657,23 +671,26 @@ def butson_enumerate(n, lev, mode="any_witness", budget=10_000_000):
 
     Rows after the first are drawn from the zero-sum pool in strictly
     increasing lexicographic order (rows of a Hadamard matrix are distinct,
-    so this loses no class).  The search either runs to the end, so an
-    empty result proves the class is empty, or raises BudgetExceeded.
+    so this loses no class).  One boolean indicator over [lev]^{n-1}
+    (`_zero_sum_pool`) gives both the pool and every compatibility mask:
+    two dephased rows are orthogonal exactly when their difference mod lev
+    is in the pool.  The search either runs to the end, so an empty result
+    proves the class is empty, or raises BudgetExceeded.
     """
     if mode not in ("any_witness", "all_dephased_classes"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n < 1 or lev < 1 or budget < 0:
+        raise ValueError("need n >= 1, l >= 1 and budget >= 0")
     if mode == "all_dephased_classes" and (n > 6 or lev > 6):
         raise OrderTooLarge("class enumeration supported for n<=6, l<=6")
     if mode == "any_witness" and (n > 8 or lev > 6):
         raise OrderTooLarge("witness search supported for n<=8, l<=6")
     if n == 1:
-        h = Hadamard(exponents=[[0]], level=max(lev, 1))
+        h = Hadamard(exponents=[[0]], level=lev)
         return EnumerationResult(n, lev, mode, [h], True, 1, 1)
 
-    pool, table = _zero_sum_pool(n, lev)
+    pool, zero = _zero_sum_pool(n, lev)
     m = len(pool)
-    pool_arr = np.array(pool, dtype=np.int64) if m else \
-        np.zeros((0, n - 1), dtype=np.int64)
     nodes = 0
     configs = 0
     found = []
@@ -681,15 +698,13 @@ def butson_enumerate(n, lev, mode="any_witness", budget=10_000_000):
 
     def compat_mask(idx):
         if idx not in compat_cache:
-            diffs = (pool_arr[idx][None, :] - pool_arr) % lev
-            sums = table[diffs].sum(axis=1) + table[0][None, :]
-            compat_cache[idx] = ~sums.any(axis=1)
+            compat_cache[idx] = _orthogonal_rows(pool, zero, lev, idx)
         return compat_cache[idx]
 
     def emit(chosen):
         exps = np.zeros((n, n), dtype=np.int64)
         for r, idx in enumerate(chosen, start=1):
-            exps[r, 1:] = pool_arr[idx]
+            exps[r, 1:] = pool[idx]
         return Hadamard(exponents=exps, level=lev,
                         provenance=f"butson_enumerate({n},{lev})")
 

@@ -221,6 +221,16 @@ def test_butson_enum_payload():
     assert env["payload"]["empty"] is True
 
 
+@pytest.mark.parametrize("argv", [["--n", "0", "--l", "2"],
+                                  ["--n", "3", "--l", "2", "--budget", "-1"]])
+def test_butson_enum_rejects_bad_inputs(argv):
+    proc = run_cli("butson-enum", *argv)
+    env = json.loads(proc.stdout)
+    assert proc.returncode == 1
+    assert env["error"] == {"type": "ValueError",
+                            "message": "need n >= 1, l >= 1 and budget >= 0"}
+
+
 def test_table_payload_matches_obstruct():
     env = envelope("table", "--nmax", "6", "--lmax", "4")
     cells = env["payload"]["cells"]

@@ -1,6 +1,7 @@
 """Hadamard construction, equivalence, enumeration and obstruction tests."""
 
 import cmath
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,8 @@ from qperm.errors import MalformedMatrix, ParseError, UnknownName
 from qperm.hadamard import (
     Hadamard,
     _catalog_witness,
+    _orthogonal_rows,
+    _zero_sum_pool,
     bjorck_froberg,
     butson_enumerate,
     certificate_resum,
@@ -45,7 +48,7 @@ from qperm.hadamard import (
     write_but,
     write_cmat,
 )
-from qperm.scalars import DEFAULT_TOL, _tolerance_keys
+from qperm.scalars import DEFAULT_TOL, _tolerance_keys, root_reduction_table
 
 EXACT_CATALOG = [
     fourier(2),
@@ -212,13 +215,76 @@ def test_obstructed_cells_have_empty_enumeration():
 
 
 def test_witness_cells_yield_verified_matrices():
-    for n, lev in [(2, 2), (3, 3), (4, 2), (4, 4), (6, 3), (6, 4), (6, 6)]:
+    for n, lev in [(2, 2), (3, 3), (4, 2), (4, 4), (6, 3), (6, 4), (6, 6),
+                   (7, 6), (8, 4), (8, 6)]:
         assert strongest_obstruction(n, lev) is None
         res = butson_enumerate(n, lev, mode="any_witness")
-        assert res.matrices, (n, lev)
+        assert len(res.matrices) == 1, (n, lev)
         w = res.matrices[0]
         assert w.verify()
         assert w.level == lev and w.n == n
+
+
+def test_level_six_classes_of_order_six():
+    classes = butson_enumerate(6, 6, mode="all_dephased_classes").matrices
+    for h in (fourier(6), tensor(fourier(2), fourier(3)), tao().with_level(6)):
+        assert sum(equivalent(h, c) for c in classes) == 1, h.provenance
+
+
+def _zero_sum_pool_by_loop(n, lev):
+    table = root_reduction_table(lev)
+    pool = []
+    for tup in itertools.product(range(lev), repeat=n - 1):
+        acc = table[0].copy()
+        for e in tup:
+            acc += table[e]
+        if not acc.any():
+            pool.append(list(tup))
+    return pool
+
+
+def test_zero_sum_pool_matches_the_loop():
+    cells = [(n, lev) for n in range(1, 9) for lev in range(1, 7)
+             if lev ** (n - 1) <= 50_000]
+    for n, lev in cells:
+        pool, zero = _zero_sum_pool(n, lev)
+        assert pool.dtype == np.int64 and pool.shape == (len(pool), n - 1)
+        assert pool.tolist() == _zero_sum_pool_by_loop(n, lev), (n, lev)
+        assert zero.shape == (lev,) * (n - 1)
+        assert zero.sum() == len(pool)
+
+
+@pytest.mark.parametrize("n, lev", [(6, 4), (6, 6)])
+def test_orthogonal_rows_match_the_table_sums(n, lev):
+    pool, zero = _zero_sum_pool(n, lev)
+    table = root_reduction_table(lev)
+    for idx in range(len(pool)):
+        sums = table[(pool[idx] - pool) % lev].sum(axis=1) + table[0]
+        assert np.array_equal(_orthogonal_rows(pool, zero, lev, idx),
+                              ~sums.any(axis=1)), idx
+
+
+@pytest.mark.parametrize("n, lev, mode, nodes, configs, count", [
+    (6, 4, "all_dephased_classes", 1972, 72, 1),
+    (6, 3, "all_dephased_classes", 357, 12, 1),
+    (5, 5, "all_dephased_classes", 90, 6, 1),
+    (4, 4, "all_dephased_classes", 25, 4, 2),
+    (7, 6, "any_witness", 12, 1, 1),
+    (8, 4, "any_witness", 7, 1, 1),
+])
+def test_search_order_is_pinned(n, lev, mode, nodes, configs, count):
+    res = butson_enumerate(n, lev, mode=mode)
+    assert (res.nodes, res.configurations, len(res.matrices)) == \
+        (nodes, configs, count)
+
+
+@pytest.mark.parametrize("n, lev, budget", [
+    (0, 2, 10), (-1, 2, 10), (3, 0, 10), (3, -2, 10), (3, 3, -1),
+])
+def test_butson_enumerate_rejects_bad_inputs(n, lev, budget):
+    for mode in ("any_witness", "all_dephased_classes"):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            butson_enumerate(n, lev, mode=mode, budget=budget)
 
 
 def test_table_witnesses_have_order_and_level():
