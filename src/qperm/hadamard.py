@@ -8,6 +8,7 @@ exact on the Butson path and compares floats by `scalars._tolerance_keys`.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections import Counter
@@ -92,11 +93,7 @@ class Hadamard:
 
     def reduced_level(self):
         """Minimal l such that all entries are l-th roots (exact form)."""
-        g = self.level
-        for e in self.exponents.flat:
-            g = math.gcd(g, int(e))
-            if g == 1:
-                break
+        g = math.gcd(self.level, int(np.gcd.reduce(self.exponents, axis=None)))
         return self.level // g
 
     def with_level(self, new_level):
@@ -144,7 +141,7 @@ def fourier(n):
     if n < 1:
         raise MalformedMatrix("n must be positive")
     idx = np.arange(n)
-    return Hadamard(exponents=np.outer(idx, idx) % n, level=max(n, 1),
+    return Hadamard(exponents=np.outer(idx, idx) % n, level=n,
                     provenance=f"fourier({n})")
 
 
@@ -881,40 +878,32 @@ class CellSummary:
     rule: str | None = None
 
 
-def _catalog_witness(n, lev, _cache=None):
+@functools.lru_cache(maxsize=None)
+def _catalog_witness(n, lev):
     """Search the constructive catalog for a member of H_n(l).
 
     Generators: Fourier F_n for n | l, the three named 6x6/7x7 matrices at
     root-of-unity parameters, and tensor products of smaller witnesses.
     Returns (human-readable expression, matrix) or None.
     """
-    if _cache is None:
-        _cache = {}
-    key = (n, lev)
-    if key in _cache:
-        return _cache[key]
-    result = None
     if n == 1:
-        result = "[1]", Hadamard(exponents=[[0]], level=1)
-    elif lev % n == 0:
-        result = f"fourier({n})", fourier(n)
-    elif n == 6 and lev % 3 == 0:
-        result = "tao()", tao()
-    elif n == 6 and lev % 4 == 0:
-        result = "haagerup(1)", haagerup(1)
-    elif n == 7 and lev % 6 == 0:
-        result = "petrescu(1)", petrescu(1)
-    else:
-        for d in range(2, n):
-            if n % d == 0:
-                left = _catalog_witness(d, lev, _cache)
-                right = _catalog_witness(n // d, lev, _cache)
-                if left and right:
-                    result = (f"tensor({left[0]},{right[0]})",
-                              tensor(left[1], right[1]))
-                    break
-    _cache[key] = result
-    return result
+        return "[1]", Hadamard(exponents=[[0]], level=1)
+    if lev % n == 0:
+        return f"fourier({n})", fourier(n)
+    if n == 6 and lev % 3 == 0:
+        return "tao()", tao()
+    if n == 6 and lev % 4 == 0:
+        return "haagerup(1)", haagerup(1)
+    if n == 7 and lev % 6 == 0:
+        return "petrescu(1)", petrescu(1)
+    for d in range(2, n):
+        if n % d == 0:
+            left = _catalog_witness(d, lev)
+            right = _catalog_witness(n // d, lev)
+            if left and right:
+                return (f"tensor({left[0]},{right[0]})",
+                        tensor(left[1], right[1]))
+    return None
 
 
 def obstruction_table(n_max, l_max):
@@ -983,6 +972,8 @@ def i_g_estimate(group, n, k, samples, seed):
     Deterministic per seed; the standard error is propagated through the
     k-th root by the delta method.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if k < 1:

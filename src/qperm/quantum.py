@@ -12,7 +12,6 @@ cyclotomic arithmetic; other inputs use tolerance-guarded numerics with
 a mandatory singular-value gap.
 """
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -294,39 +293,22 @@ def orbit_components(u, tol=DEFAULT_TOL):
 class GTensor:
     """Four-index scalar-product tensor of a Hadamard matrix.
 
-    values[i, a, j, b] = sum_k H_ik * conj(H_jk) * conj(H_ak) * H_bk.
-    For Butson inputs the root-count tensor is kept: counts[i,a,j,b,t]
-    is the number of k whose exponent combination reduces to t, so the
-    entry equals sum_t counts[i,a,j,b,t] * zeta_level^t exactly.
+    values[i, a, j, b] = sum_k H_ik * conj(H_jk) * conj(H_ak) * H_bk, as
+    complex numbers.  The exact route never builds it: modulo p the Hom
+    system forms G from the residues of H (_HomSystem._modp_factors).
     """
 
-    def __init__(self, n, values, level=None, counts=None, provenance=""):
+    def __init__(self, n, values, provenance=""):
         self.n = n
         self.values = values
-        self.level = level
-        self.counts = counts
         self.provenance = provenance
-        self._modp_cache = {}
-
-    @property
-    def is_exact(self):
-        return self.counts is not None
-
-    def modp(self, p, root):
-        """Entries evaluated at zeta -> root modulo p, as int64 in [0, p)."""
-        key = (p, root)
-        if key not in self._modp_cache:
-            rp = _root_powers(root, p, self.level)
-            self._modp_cache[key] = (self.counts * rp).sum(axis=-1) % p
-        return self._modp_cache[key]
 
     def __repr__(self):
-        form = f"level={self.level}" if self.is_exact else "complex"
-        return f"GTensor(n={self.n}, {form})"
+        return f"GTensor(n={self.n})"
 
 
 def g_tensor(h):
-    """Build the G tensor of a verified Hadamard matrix."""
+    """Build the complex G tensor of a verified Hadamard matrix."""
     if not isinstance(h, Hadamard):
         raise MalformedMatrix("expected a Hadamard value")
     if not h.verify():
@@ -334,15 +316,7 @@ def g_tensor(h):
     ent = h.entries
     vals = np.einsum("ik,jk,ak,bk->iajb",
                      ent, ent.conj(), ent.conj(), ent)
-    if not h.is_exact:
-        return GTensor(h.n, vals, provenance=h.provenance)
-    E = h.exponents
-    lev = h.level
-    expo = (E[:, None, None, None, :] - E[None, None, :, None, :]
-            - E[None, :, None, None, :] + E[None, None, None, :, :]) % lev
-    counts = (expo[..., None] == np.arange(lev)).sum(axis=-2, dtype=np.int64)
-    return GTensor(h.n, vals, level=lev, counts=counts,
-                   provenance=h.provenance)
+    return GTensor(h.n, vals, provenance=h.provenance)
 
 
 def _chain_apply(G4, steps, start, ends, zero, Y, p=None):
@@ -520,18 +494,20 @@ class _HomSystem:
     modulo p for every (j, c), the identity gives A X = 0 there, so the
     zero test keeps the bound of A (coeff_l1_bound).  A true null vector
     of A has C_jc X = (V (x) U)* A X / n^4 = 0, so nothing valid is
-    rejected.  Rows and residuals run the same chains, built for all end
-    columns c of one start column j at once (_column_chains).
+    rejected.  One contraction serves rows and residuals (_blocks): for
+    each start column j it multiplies X by the start factor, contracts one
+    chain site at a time and applies the end factors of all n end columns
+    at once, and the rows are its blocks at X = I.  Exact systems read G
+    modulo p from the residues of H and never build the complex G tensor.
     """
 
     def __init__(self, h, k, l):
-        # rows times columns of the stream, before g_tensor's n^5 l booleans
+        # rows times columns of the stream
         _check_budget(h.n ** (2 * (k + l) + 2), "hom-space system")
         self.h = h
         self.k = k
         self.l = l
         self.n = h.n
-        self.gt = g_tensor(h)
         self.ncols = self.n ** (k + l)
         self.level = h.level if h.is_exact else 1
         mx = max(k, l)
@@ -543,96 +519,91 @@ class _HomSystem:
         else:
             self.coeff_l1_bound = None
 
-    def _column_chains(self, g4, hm, hc, Y1, Y2, p):
-        """Per start column j, the chains to every end column c, times Y.
+    def _blocks(self, g4, hm, hc, X, s1, s2, p):
+        """The chunks C_jc times X, one block per start column j.
 
         hm and hc are H and its conjugate (residues modulo p, or complex).
-        Yields (right, left) with right[c] = C1_jc^T Y1 and
-        left[c] = C2_jc Y2, for C1, C2 the chains of k and l steps;
-        modulo p both are left below n p^2 for the caller to reduce.
-        C1^T is a chain of G with the m and b axes swapped, whose start
-        and end factors transpose with them.
-        """
-        # starts[m, b, j] = H_mj conj(H_bj), ends[c, m, b] = conj(H_mc) H_bc
-        starts = hm[:, None, :] * hc[None, :, :]
-        ends = (hc[:, None, :] * hm[None, :, :]).transpose(2, 0, 1)
-        if p is not None:
-            starts %= p
-            ends %= p
-        g4t = np.ascontiguousarray(g4.transpose(2, 3, 0, 1))
-        ends_t = ends.transpose(0, 2, 1)
-        eye = np.eye(self.n, dtype=g4.dtype)
-        for j in range(self.n):
-            start = starts[:, :, j]
-            yield (_chain_apply(g4t, self.k, start.T, ends_t, eye[j], Y1, p),
-                   _chain_apply(g4, self.l, start, ends, eye[j], Y2, p))
-
-    def _chunks(self, g4, hm, hc, s1, s2, p):
-        """Chunks s1*(I (x) C1_jc^T) - s2*(C2_jc (x) I), per (j, c).
-
-        s1 and s2 are the multipliers of the chains.
-        """
-        n, k, l = self.n, self.k, self.l
-        nk, nl = n ** k, n ** l
-        idx = np.arange(nl)
-        jdx = np.arange(nk)
-        eye_k, eye_l = np.eye(nk, dtype=g4.dtype), np.eye(nl, dtype=g4.dtype)
-        for k1, k2 in self._column_chains(g4, hm, hc, eye_k, eye_l, p):
-            if p is None:
-                k1, k2 = s1 * k1, s2 * k2
-            else:
-                k1, k2 = s1 * (k1 % p) % p, s2 * (k2 % p) % p
-            for c in range(n):
-                a4 = np.zeros((nl, nk, nl, nk), dtype=k1.dtype)
-                a4[idx, :, idx, :] = k1[c]
-                a4[:, jdx, :, jdx] -= k2[c]
-                if p is not None:
-                    a4 %= p
-                yield a4.reshape(nl * nk, nl * nk)
-
-    def _modp_factors(self, p, root):
-        """G, H and conj(H) at the embedding zeta -> root modulo p."""
-        rp = _root_powers(root, p, self.level)
-        E = self.h.exponents
-        return self.gt.modp(p, root), rp[E], rp[-E % self.level]
-
-    def chunks_modp(self, p, root):
-        return self._chunks(*self._modp_factors(p, root),
-                            pow(self.n, self.s1_pow, p),
-                            pow(self.n, self.s2_pow, p), p)
-
-    def chunks_complex(self):
-        # n^2 C_jc against the defining divisors n^(k+1), n^(l+1)
-        hm = self.h.entries
-        return self._chunks(self.gt.values, hm, hm.conj(),
-                            self.n ** (1 - self.k), self.n ** (1 - self.l),
-                            None)
-
-    def residuals_modp(self, p, root, X):
-        """Residuals C_jc·X mod p of the stream's chunks, rows unbuilt.
-
-        X has shape (ncols, nvec) with entries in [0, p); column v is
-        vec(T_v) for T_v of shape n^l x n^k, and C_jc applied to T is
-        s1*T*C1_jc - s2*C2_jc*T.  One block is yielded per start column j:
-        the rows of chunks_modp's chunks (j, 0..n-1) times X, ordered
-        (c, I, J) with chunk row I*n^k + J.  By the class identity the
-        defining residuals are sum_{j,c} v_j u_c (C_jc X), so blocks that
-        vanish make A·X vanish.
+        X has shape (ncols, nvec); column v is vec(T_v) for T_v of shape
+        n^l x n^k, and C_jc applied to T is s1*T*C1_jc - s2*C2_jc*T for
+        C1, C2 the chains of k and l steps.  C1^T is a chain of G with the
+        m and b axes swapped, whose start and end factors transpose with
+        them.  The block of j stacks the chunks (j, 0..n-1) times X, ordered
+        (c, I, J) with chunk row I*n^k + J, so at X = I it is those n
+        chunks.  Modulo p (X in [0, p)) s1 and s2 are multipliers, the
+        chains are left below n p^2 and the block is reduced; with p None
+        the arithmetic is complex.
         """
         n, k, l = self.n, self.k, self.l
         nk, nl = n ** k, n ** l
         nvec = X.shape[1]
-        X = np.asarray(X, dtype=np.int64).reshape(nl, nk, nvec)
+        X = X.reshape(nl, nk, nvec)
         # the scalars s1, s2 ride on T, where they cost n^(k+l) products
-        T2 = (pow(n, self.s2_pow, p) * X % p).reshape(nl, -1)
-        T1 = (pow(n, self.s1_pow, p) * X % p).transpose(1, 0, 2)
+        T1 = s1 * X.transpose(1, 0, 2)
+        T2 = s2 * X
+        # starts[m, b, j] = H_mj conj(H_bj), ends[c, m, b] = conj(H_mc) H_bc
+        starts = hm[:, None, :] * hc[None, :, :]
+        ends = (hc[:, None, :] * hm[None, :, :]).transpose(2, 0, 1)
+        if p is not None:
+            for factor in (T1, T2, starts, ends):
+                factor %= p
         T1 = np.ascontiguousarray(T1).reshape(nk, -1)
-        for right, left in self._column_chains(*self._modp_factors(p, root),
-                                               T1, T2, p):
+        T2 = T2.reshape(nl, -1)
+        g4t = np.ascontiguousarray(g4.transpose(2, 3, 0, 1))
+        ends_t = ends.transpose(0, 2, 1)
+        eye = np.eye(n, dtype=g4.dtype)
+        for j in range(n):
+            start = starts[:, :, j]
             # right[c, J, (I, v)] = (T C1_jc)[I, J], left[c, I, (J, v)]
+            right = _chain_apply(g4t, k, start.T, ends_t, eye[j], T1, p)
+            left = _chain_apply(g4, l, start, ends, eye[j], T2, p)
             right = right.reshape(n, nk, nl, nvec).transpose(0, 2, 1, 3)
-            block = (right - left.reshape(n, nl, nk, nvec)) % p
+            block = right - left.reshape(n, nl, nk, nvec)
+            if p is not None:
+                block %= p
             yield block.reshape(-1, nvec)
+
+    def _modp_factors(self, p, root):
+        """G, H and conj(H) at the embedding zeta -> root modulo p.
+
+        G[i, a, j, b] = sum_k (H_ik conj(H_ak)) (conj(H_jk) H_bk) is one
+        int64 product of residue pairs: n terms below p^2 each.
+        """
+        rp = _root_powers(root, p, self.level)
+        E = self.h.exponents
+        hm, hc = rp[E], rp[-E % self.level]
+        left = (hm[:, None, :] * hc[None, :, :] % p).reshape(-1, self.n)
+        right = (hc[:, None, :] * hm[None, :, :] % p).reshape(-1, self.n)
+        g4 = (left @ right.T % p).reshape((self.n,) * 4)
+        return g4, hm, hc
+
+    def chunks_modp(self, p, root):
+        X = np.eye(self.ncols, dtype=np.int64)
+        for block in self._blocks(*self._modp_factors(p, root), X,
+                                  pow(self.n, self.s1_pow, p),
+                                  pow(self.n, self.s2_pow, p), p):
+            yield from np.split(block, self.n)
+
+    def chunks_complex(self):
+        # n^2 C_jc against the defining divisors n^(k+1), n^(l+1)
+        hm = self.h.entries
+        X = np.eye(self.ncols, dtype=np.complex128)
+        for block in self._blocks(g_tensor(self.h).values, hm, hm.conj(), X,
+                                  self.n ** (1 - self.k),
+                                  self.n ** (1 - self.l), None):
+            yield from np.split(block, self.n)
+
+    def residuals_modp(self, p, root, X):
+        """Residuals C_jc·X mod p of the stream's chunks, rows unbuilt.
+
+        X has shape (ncols, nvec) with entries in [0, p).  One block is
+        yielded per start column j (_blocks).  By the class identity the
+        defining residuals are sum_{j,c} v_j u_c (C_jc X), so blocks that
+        vanish make A·X vanish.
+        """
+        return self._blocks(*self._modp_factors(p, root),
+                            np.asarray(X, dtype=np.int64),
+                            pow(self.n, self.s1_pow, p),
+                            pow(self.n, self.s2_pow, p), p)
 
 
 def _as_magic(obj):

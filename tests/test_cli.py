@@ -231,6 +231,16 @@ def test_butson_enum_rejects_bad_inputs(argv):
                             "message": "need n >= 1, l >= 1 and budget >= 0"}
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_ig_estimate_rejects_order_below_one(n):
+    proc = run_cli("ig-estimate", "--group", "UNITARY", "--n", n, "--k", "1",
+                   "--samples", "2", "--seed", "1")
+    env = json.loads(proc.stdout)
+    assert proc.returncode == 1
+    assert env["error"] == {"type": "ValueError",
+                            "message": "n must be >= 1"}
+
+
 def test_table_payload_matches_obstruct():
     env = envelope("table", "--nmax", "6", "--lmax", "4")
     cells = env["payload"]["cells"]

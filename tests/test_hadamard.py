@@ -409,6 +409,13 @@ def test_ig_estimate_deterministic_per_seed():
     assert a.value != c.value
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_ig_estimate_rejects_order_below_one(n):
+    for group in ("ORTHOGONAL", "UNITARY"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            i_g_estimate(group, n, 1, 2, 1)
+
+
 def test_obstruction_rules_spot_cells():
     assert strongest_obstruction(3, 2).rule == "LamLeung"
     assert strongest_obstruction(5, 2) is not None

@@ -2,8 +2,9 @@
 function keeps a nested helper that it never uses, every function the
 package defines is referenced somewhere in the project, no module calls
 the numpy set routines whose first call imports numpy.ma, `hadamard`
-compares floats through tolerance keys, never by rounding, and no system
-of `quantum` rebuilds its rows to verify."""
+compares floats through tolerance keys, never by rounding, no system of
+`quantum` rebuilds its rows to verify, and the Hom system has one
+contraction for its rows and its residuals."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,25 @@ def test_verification_does_not_rebuild_rows():
                           if isinstance(sub, ast.Attribute)
                           and sub.attr in ("chunks_modp", "_chunks")]
     assert not offenders, offenders
+
+
+def _class_methods(tree, name):
+    cls = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    return {node.name: node for node in cls.body if isinstance(node, FUNCTION)}
+
+
+def test_hom_system_has_one_contraction():
+    """_HomSystem's rows are its residual blocks at X = I: its streams and
+    its residuals all call _blocks, and no _chunks or GTensor.modp is left."""
+    path = PACKAGE / "quantum.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = _class_methods(tree, "_HomSystem")
+    assert "_chunks" not in methods
+    for name in ("chunks_modp", "chunks_complex", "residuals_modp"):
+        assert any(isinstance(sub, ast.Attribute) and sub.attr == "_blocks"
+                   for sub in ast.walk(methods[name])), name
+    assert "modp" not in _class_methods(tree, "GTensor")
 
 
 def _nested_defs(func):

@@ -330,11 +330,71 @@ def _first_prime(system):
                           min(_max_safe_prime(system.ncols), 1 << 26), 1)[0]
 
 
+def _g_counts_modp(h, p, root):
+    """G modulo p from its root counts: counts[i, a, j, b, t] is the number
+    of k with E_ik - E_jk - E_ak + E_bk = t (mod l), so G[i, a, j, b] =
+    sum_t counts[..., t] * root^t."""
+    E, lev = h.exponents, h.level
+    expo = (E[:, None, None, None, :] - E[None, None, :, None, :]
+            - E[None, :, None, None, :] + E[None, None, None, :, :]) % lev
+    counts = (expo[..., None] == np.arange(lev)).sum(axis=-2, dtype=np.int64)
+    rp = np.array([pow(root, t, p) for t in range(lev)], dtype=np.int64)
+    return (counts * rp).sum(axis=-1) % p
+
+
 def _defining_modp(system, p, root):
     n, k, l = system.n, system.k, system.l
-    return _defining_chunks(system.gt.modp(p, root), n, k, l,
+    return _defining_chunks(_g_counts_modp(system.h, p, root), n, k, l,
                             pow(n, system.s1_pow, p),
                             pow(n, system.s2_pow, p), p)
+
+
+G_MODP_MATRICES = [fourier(2), fourier(3), fourier(4), fourier(5), tao(),
+                   haagerup(Fraction(1, 4)),
+                   f6_two_three(Fraction(1, 5), Fraction(2, 7))]
+
+
+@pytest.mark.parametrize("h", G_MODP_MATRICES,
+                         ids=[h.provenance for h in G_MODP_MATRICES])
+def test_g_modp_from_residue_pairs_equals_root_counts(h):
+    """The Hom system's G modulo p, one product of residue pairs, equals
+    the root-count oracle at every embedding of the system's first prime."""
+    system = _HomSystem(h, 0, 2)
+    p = _first_prime(system)
+    for root in embedding_roots(p, h.level):
+        g4, _, _ = system._modp_factors(p, root)
+        assert g4.dtype == np.int64
+        assert (g4 == _g_counts_modp(h, p, root)).all(), root
+
+
+def test_only_the_complex_stream_builds_the_g_tensor(monkeypatch):
+    """Exact Hom systems read G from the residues of H; g_tensor is
+    called once, by chunks_complex."""
+    calls = []
+    build = quantum.g_tensor
+
+    def counted(h):
+        calls.append(h)
+        return build(h)
+
+    monkeypatch.setattr(quantum, "g_tensor", counted)
+    assert hom_dim_via_g(fourier(3), 0, 2) == 3
+    assert hom_dim_via_g(tao(), 1, 1) == 2
+    assert invariants(fourier(3), 2, method="g_tensor").values == (1, 1, 3)
+    assert invariants(tao(), 2, method="both").values == (1, 1, 2)
+    assert calls == []
+    h = Hadamard(entries=tao().entries)
+    chunks = list(_HomSystem(h, 0, 1).chunks_complex())
+    assert len(chunks) == h.n ** 2
+    assert len(calls) == 1
+
+
+def test_g_route_rejects_non_orthogonal_butson():
+    bad = Hadamard(exponents=[[0, 0, 0], [0, 1, 0], [0, 0, 1]], level=2)
+    with pytest.raises(NotHadamard):
+        hom_dim_via_g(bad, 0, 1)
+    with pytest.raises(NotHadamard):
+        invariants(bad, 1, method="g_tensor")
 
 
 HOM_RESIDUAL_CASES = [
@@ -438,12 +498,11 @@ def test_fix_residuals_equal_built_chunks(u, k):
 
 
 def _rref(chunks, ncols, p):
-    """Finalized RREF of the stacked chunks, and their row count."""
-    rows = np.vstack(list(chunks))
+    """Finalized RREF of the stacked chunks."""
     rref = ModRREF(ncols, p)
-    rref.process(rows)
+    rref.process(np.vstack(list(chunks)))
     rref.finalize()
-    return rref, rows.shape[0]
+    return rref
 
 
 HOM_STREAM_EXACT = [
@@ -469,14 +528,16 @@ HOM_STREAM_FLOAT = [
     "h,k,l", HOM_STREAM_EXACT,
     ids=[f"{h.provenance}-{k}-{l}" for h, k, l in HOM_STREAM_EXACT])
 def test_hom_stream_spans_defining_system(h, k, l):
-    """The n^2 chunk stream has the row space of the n^4 defining chunks."""
+    """The stream's n^2 chunks of ncols rows have the row space of the n^4
+    defining chunks."""
     system = _HomSystem(h, k, l)
     n, level = h.n, h.level
     p = _first_prime(system)
     for root in embedding_roots(p, level):
-        got, rows = _rref(system.chunks_modp(p, root), system.ncols, p)
-        want, _ = _rref(_defining_modp(system, p, root), system.ncols, p)
-        assert rows == n * n * n ** (k + l)
+        chunks = list(system.chunks_modp(p, root))
+        assert [c.shape for c in chunks] == [(system.ncols,) * 2] * n * n
+        got = _rref(chunks, system.ncols, p)
+        want = _rref(_defining_modp(system, p, root), system.ncols, p)
         assert got.piv == want.piv, root
         assert (got.R == want.R).all(), root
 
@@ -492,7 +553,8 @@ def test_hom_stream_keeps_singular_values(h, top):
             system = _HomSystem(h, k, l)
             got = np.vstack(list(system.chunks_complex()))
             want = np.vstack(list(_defining_chunks(
-                system.gt.values, n, k, l, n ** (k + 1), n ** (l + 1))))
+                g_tensor(h).values, n, k, l, n ** (k + 1),
+                n ** (l + 1))))
             assert got.shape == (n * n * n ** (k + l), system.ncols)
             sv_got = np.linalg.svd(got, compute_uv=False)
             sv_want = np.linalg.svd(want, compute_uv=False)
