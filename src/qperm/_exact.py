@@ -2,12 +2,11 @@
 
 Two layers live here:
 
-* small dense exact routines used by the partition module: the integer
-  determinant by fraction-free (Bareiss) elimination, and the certified
-  inverse of an integer matrix (elimination modulo primes, CRT and
-  rational reconstruction, accepted only when G·W = I holds exactly).
-  `fraction_matrix_inverse`, Gauss-Jordan over Fraction, is not called by
-  the package; it is the independent oracle the tests invert with;
+* small dense exact routines: the integer determinant by fraction-free
+  (Bareiss) elimination, used by the partition module, and
+  `fraction_matrix_inverse`, Gauss-Jordan over Fraction, which the
+  package does not call; it is the independent oracle the tests invert
+  with;
 
 * a certified nullity engine for large linear systems over Q(zeta_l).
   Elimination modulo a prime gives an upper bound on the exact nullity (a
@@ -15,7 +14,8 @@ Two layers live here:
   are lifted by Vandermonde coefficient extraction, CRT and rational
   reconstruction, and then verified exactly; verified independent
   solutions bound the nullity from below, and when the bounds meet the
-  dimension is certified exact.
+  dimension is certified exact.  `certified_inverse` is a client: it
+  reads G^-1 from the nullspace of the level-1 system [G | I].
 
 The zero test.  An element r of Z[zeta_l] with |sigma(r)| <= B under
 every complex embedding sigma is zero once it vanishes at every
@@ -50,13 +50,18 @@ coefficients of l1 norm ||x_j||_1, and |zeta^e| = 1 under every sigma,
 so an entry r of A·x has |sigma(r)| <= ncols * coeff_l1_bound *
 max_j ||x_j||_1 =: B_1, and the zero test with B = B_1 proves A·x = 0.
 
-The prime loop.  `certified_nullity` walks its pool once, eliminating at
-every embedding of each prime and skipping a prime whose embeddings
-disagree on (rank, pivot columns).  A reduction modulo a prime can only
-lose rank or push pivots to later columns, so the best key seen so far
-(higher rank, then the lexicographically first pivots) is kept with the
-primes that match it; after each such prime the basis is lifted from
-all of them and verified.
+The prime loop.  `certified_nullity` walks the primes p = 1 (mod l) below
+the float64 bound, largest first, eliminating at every embedding of each
+prime and skipping a prime whose embeddings disagree on (rank, pivot
+columns).  A reduction modulo a prime can only lose rank or push pivots
+to later columns, so the best key seen so far (higher rank, then the
+lexicographically first pivots) is kept with the primes that match it;
+after each such prime the basis is lifted from all of them and verified,
+until the bounds meet.  That ends: only finitely many primes move a pivot
+or split the embeddings, the others reduce the RREF over Q(zeta_l), and
+once their product passes the reconstruction bound the lift is exact and
+verifies for any system whose residuals agree with its rows (the tests
+pin that agreement).
 """
 
 from __future__ import annotations
@@ -194,11 +199,11 @@ def unity_root_mod(p, level):
     raise CertificationFailed("no root of unity found (p not prime?)")
 
 
-def rational_reconstruct(u, modulus):
-    """Wang reconstruction of n/d from u mod modulus, or None."""
+def _wang(u, modulus):
+    """Coprime (n, d), d > 0, with n/d = u mod modulus (Wang), or None."""
     u %= modulus
     if u == 0:
-        return Fraction(0)
+        return 0, 1
     bound = math.isqrt(modulus // 2)
     r0, r1 = modulus, u
     s0, s1 = 0, 1
@@ -209,12 +214,15 @@ def rational_reconstruct(u, modulus):
     if s1 == 0 or abs(s1) > bound:
         return None
     num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
-    g = math.gcd(num, den) if num >= 0 else math.gcd(-num, den)
-    if g > 1:
+    if math.gcd(num, den) > 1 or math.gcd(den, modulus) != 1:
         return None
-    if math.gcd(den, modulus) != 1:
-        return None
-    return Fraction(num, den)
+    return num, den
+
+
+def rational_reconstruct(u, modulus):
+    """Wang reconstruction of n/d from u mod modulus, or None."""
+    pair = _wang(u, modulus)
+    return None if pair is None else Fraction(*pair)
 
 
 def crt_combine(res_a, mod_a, res_b, mod_b):
@@ -228,18 +236,19 @@ def crt_combine(res_a, mod_a, res_b, mod_b):
 
 
 def _reconstruct(res, modulus):
-    """Fractions from an object array of CRT residues, or None.
+    """Numerators and denominators from an object array of CRT residues.
 
-    Only the nonzero residues are reconstructed; zeros give Fraction(0).
-    None as soon as one reconstruction fails.
+    Only the nonzero residues are reconstructed; zeros give 0/1.  None as
+    soon as one reconstruction fails.
     """
-    out = np.full(res.shape, Fraction(0), dtype=object)
+    num = np.zeros(res.shape, dtype=object)
+    den = np.ones(res.shape, dtype=object)
     for i in np.flatnonzero(res):
-        val = rational_reconstruct(res.flat[i], modulus)
-        if val is None:
+        pair = _wang(res.flat[i], modulus)
+        if pair is None:
             return None
-        out.flat[i] = val
-    return out
+        num.flat[i], den.flat[i] = pair
+    return num, den
 
 
 def solve_mod_vandermonde(points, rhs, p):
@@ -341,64 +350,6 @@ class ModRREF:
 
 
 # ---------------------------------------------------------------------------
-# certified inverse of an integer matrix
-# ---------------------------------------------------------------------------
-
-
-def certified_inverse(rows):
-    """Exact inverse of a nonsingular square integer matrix, over Fraction.
-
-    [G mod p | I] is reduced by ModRREF modulo primes below the float64
-    bound for its 2m columns.  A prime at which the left block does not
-    reach full rank divides det G and is skipped.  The right blocks are
-    combined by CRT and each entry is recovered by rational
-    reconstruction.  The candidate W is accepted only when
-    G·(D·W) = D·I holds exactly in integers, D the lcm of its
-    denominators; otherwise another prime is added.
-
-    Hadamard's bound H on |det G| bounds every minor as well, so the
-    entries of W = adj(G)/det(G), in lowest terms, have numerator and
-    denominator at most H, and reconstruction from a modulus above
-    2(H+1)^2 returns them.  Skipped primes whose product exceeds H prove
-    det G = 0 (ValueError); a candidate that still fails the check past
-    the reconstruction bound raises CertificationFailed.
-    """
-    g = [[int(x) for x in row] for row in rows]
-    m = len(g)
-    if any(len(row) != m for row in g):
-        raise ValueError("matrix must be square")
-    if m == 0:
-        return []
-    hadamard = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in g)
-    exact = np.array(g, dtype=object)
-    eye = np.eye(m)
-    res, modulus, skipped = 0, 1, 1
-    for p in _primes_descending(1, _max_safe_prime(2 * m)):
-        rref = ModRREF(2 * m, p)
-        rref.process(np.hstack([[[x % p for x in row] for row in g], eye]))
-        rref.finalize()
-        if rref.piv[:m] != list(range(m)):
-            skipped *= p
-            if skipped > hadamard:
-                raise ValueError("matrix is singular")
-            continue
-        res_p = rref.R[:m, m:].astype(np.int64).astype(object)
-        res, modulus = crt_combine(res, modulus, res_p, p)
-        cand = _reconstruct(res, modulus)
-        if cand is not None:
-            den = math.lcm(*(c.denominator for c in cand.flat))
-            scaled = np.array([c.numerator * (den // c.denominator)
-                               for c in cand.flat], dtype=object)
-            resid = exact.dot(scaled.reshape(m, m))
-            resid[np.diag_indices(m)] -= den
-            if not resid.any():
-                return cand.tolist()
-        if modulus > 2 * (hadamard + 1) ** 2:
-            raise CertificationFailed("modular inverse does not verify")
-    raise CertificationFailed("prime pool exhausted")
-
-
-# ---------------------------------------------------------------------------
 # certified nullity over Q(zeta_l)
 # ---------------------------------------------------------------------------
 
@@ -436,13 +387,19 @@ def _max_safe_prime(ncols):
     return math.isqrt((1 << 53) // max(ncols + 1, 2))
 
 
+def _root_powers(root, p, level):
+    """root^t mod p for t = 0..level-1: zeta^t at the image zeta -> root."""
+    return np.array([pow(int(root), t, p) for t in range(level)],
+                    dtype=np.int64)
+
+
 def _eval_vectors_mod(vectors, p, r, level):
     """Evaluate integer cyclo arrays (..., level) at zeta -> r mod p.
 
     Coefficients are reduced mod p first, in exact integers.  Partial sums
     of at most `step` products below p^2 keep the int64 sums exact.
     """
-    pows = np.array([pow(r, j, p) for j in range(level)], dtype=np.int64)
+    pows = _root_powers(r, p, level)
     red = np.mod(vectors, p).astype(np.int64, copy=False)
     step = ((1 << 63) - p) // (p - 1) ** 2
     out = np.zeros(red.shape[:-1], dtype=np.int64)
@@ -485,14 +442,11 @@ def _lift_basis(ncols, level, pivots, kept):
     if vals is None:
         return None
     basis = []
-    for j, col in enumerate(free):
-        entries = vals[:, :, j].T  # (rank, phideg)
-        den = math.lcm(*(c.denominator for c in entries.flat))
+    for col, num, den in zip(free, vals[0].T, vals[1].T):  # (rank, phideg)
+        lcm = math.lcm(*den.flat)
         vec = np.zeros((ncols, level), dtype=object)
-        vec[col, 0] = den
-        vec[pivots, :phideg] = np.array(
-            [-(c.numerator * (den // c.denominator)) for c in entries.flat],
-            dtype=object).reshape(entries.shape)
+        vec[col, 0] = lcm
+        vec[pivots, :phideg] = -num * (lcm // den)
         basis.append(vec)
     return basis
 
@@ -531,10 +485,6 @@ def _independent_mod(basis, p, root, level):
     return rref.rank == len(basis)
 
 
-#: Most primes one lift combines before certification gives up.
-_MAX_LIFT_PRIMES = 6
-
-
 def certified_nullity(system, candidates=None):
     """Certified exact nullity of a streamed system over Q(zeta_l).
 
@@ -544,13 +494,11 @@ def certified_nullity(system, candidates=None):
     `candidates`, exact integer cyclo vectors known to be independent
     solutions elsewhere, are verified against *this* system, and the rank
     bound then stops early; on any failure the prime loop of the module
-    docstring runs.  It raises CertificationFailed after
-    _MAX_LIFT_PRIMES kept primes or at the end of the pool.
+    docstring runs.  Each read of the primes starts from the largest.
     """
     ncols = system.ncols
     level = max(system.level, 1)
     p_max = min(_max_safe_prime(ncols), 1 << 26)
-    pool = primes_one_mod(level, p_max, _MAX_LIFT_PRIMES + 4)
     tags = []
 
     if ncols == 0:
@@ -559,20 +507,22 @@ def certified_nullity(system, candidates=None):
     if candidates is not None:
         n_cand = len(candidates)
         target = ncols - n_cand
-        root = embedding_roots(pool[0], level)[0]
+        p0 = next(_primes_descending(level, p_max))
+        root = embedding_roots(p0, level)[0]
         ok = n_cand == 0 or (
-            _independent_mod(candidates, pool[0], root, level)
-            and _verify_basis(system, candidates, pool, tags)
+            _independent_mod(candidates, p0, root, level)
+            and _verify_basis(system, candidates,
+                              _primes_descending(level, p_max), tags)
         )
         if ok:
-            rref = _eliminate(system, pool[0], root, target_rank=target)
+            rref = _eliminate(system, p0, root, target_rank=target)
             if rref.rank == target:
                 tags.append("candidates-certified")
                 return NullityCertificate(n_cand, level, list(candidates), tags)
         tags.append("candidates-fallback")
 
     best, kept = None, []
-    for p in pool:
+    for p in _primes_descending(level, p_max):
         roots = embedding_roots(p, level)
         rrefs = [_eliminate(system, p, root) for root in roots]
         keys = {(-r.rank, tuple(r.piv)) for r in rrefs}
@@ -587,12 +537,63 @@ def certified_nullity(system, candidates=None):
             continue
         kept.append((p, roots, rrefs))
         basis = _lift_basis(ncols, level, list(best[1]), kept)
-        if basis is not None and _verify_basis(system, basis, pool, tags):
+        if basis is not None and _verify_basis(
+                system, basis, _primes_descending(level, p_max), tags):
             tags.append(f"lift-primes={len(kept)}")
             return NullityCertificate(ncols + best[0], level, basis, tags)
-        if len(kept) == _MAX_LIFT_PRIMES:
-            break
-    raise CertificationFailed("could not certify nullity")
+    raise CertificationFailed("prime pool exhausted")
+
+
+# ---------------------------------------------------------------------------
+# certified inverse of an integer matrix, a level-1 system of the engine
+# ---------------------------------------------------------------------------
+
+
+class _InverseSystem:
+    """[G | I] for a square integer matrix G: level 1, nullspace (x ; -G·x).
+
+    p lies below the float64 bound for the 2m columns, so the float64
+    product G·X_top + X_bottom of residues is exact.
+    """
+
+    level = 1
+
+    def __init__(self, g):
+        self.g, self.m = np.array(g, dtype=object), len(g)
+        self.ncols = 2 * self.m
+        self.coeff_l1_bound = max(int(np.abs(self.g).max()), 1)
+
+    def chunks_modp(self, p, root):
+        yield np.hstack([(self.g % p).astype(np.float64), np.eye(self.m)])
+
+    def residuals_modp(self, p, root, X):
+        yield ((self.g % p).astype(np.float64) @ X[:self.m] + X[self.m:]) % p
+
+
+def certified_inverse(rows):
+    """Exact inverse of a nonsingular square integer matrix, over Fraction.
+
+    W is read from the certified nullspace of [G | I]: for invertible G
+    its RREF basis is (-D·W ; D), D diagonal.  A certified basis of any
+    other shape means G is singular, or that the engine kept primes that
+    moved a pivot: ValueError if bareiss_det(G) == 0, else
+    CertificationFailed.  So neither W nor "singular" is ever wrong.
+    """
+    g = [[int(x) for x in row] for row in rows]
+    m = len(g)
+    if any(len(row) != m for row in g):
+        raise ValueError("matrix must be square")
+    if m == 0:
+        return []
+    basis = np.array(certified_nullity(_InverseSystem(g)).basis)[..., 0]
+    top, bottom = basis[:, :m], basis[:, m:]
+    den = np.diagonal(bottom).tolist()
+    if np.count_nonzero(bottom) != m or not all(den):
+        if bareiss_det(g) == 0:
+            raise ValueError("matrix is singular")
+        raise CertificationFailed("inverse basis has pivots off G")
+    return [[Fraction(-t, d) for t, d in zip(row, den)]
+            for row in top.T.tolist()]
 
 
 # ---------------------------------------------------------------------------

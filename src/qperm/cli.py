@@ -100,7 +100,7 @@ def _catalog_param(tok):
     if _INT_RE.match(tok):
         return int(tok)
     if _FRAC_RE.match(tok):
-        return Fraction(tok)
+        return _fraction_arg(tok)
     try:
         t = float(tok)
     except ValueError:
@@ -160,10 +160,11 @@ def _count(tok):
 
 
 def _fraction_arg(tok):
-    if _INT_RE.match(tok):
-        return Fraction(int(tok))
-    if _FRAC_RE.match(tok):
-        return Fraction(tok)
+    if _INT_RE.match(tok) or _FRAC_RE.match(tok):
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator in {tok!r}") from None
     raise UsageError(f"expected an integer or p/q rational, got {tok!r}")
 
 

@@ -221,8 +221,8 @@ class GramWeingarten:
     """Exact Gram matrix G[pi][sigma] = n^|pi v sigma| and W = G^-1.
 
     For ALL, W is the Moebius closed form; for NONCROSSING and
-    EVEN_NONCROSSING it is the modular inverse certified by the exact
-    identity G·W = I (see gram_weingarten).
+    EVEN_NONCROSSING it is read from the certified nullspace of [G | I]
+    (see gram_weingarten).
     """
 
     family: PartitionFamily
@@ -299,9 +299,9 @@ def gram_weingarten(family, k, n):
     Singularity is decided first (_gram_is_singular), and a singular G
     gives weingarten=None.  For ALL (then n >= k) W is the Moebius closed
     form of _weingarten_all.  NONCROSSING and EVEN_NONCROSSING have no
-    such factorization; there W is _exact.certified_inverse of G, the
-    inverse modulo primes lifted by CRT and rational reconstruction and
-    accepted only when G·(D·W) = D·I holds exactly in integers.
+    such factorization; there W is _exact.certified_inverse of G: the
+    certified nullity engine lifts the nullspace basis (-D·W ; D) of
+    [G | I], D diagonal, and verifies it exactly through the zero test.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -22,6 +22,7 @@ from ._exact import (
     _eval_vectors_mod,
     _max_safe_prime,
     _primes_descending,
+    _root_powers,
     certified_nullity,
     embedding_roots,
     float_nullity,
@@ -151,12 +152,6 @@ def permutation_magic(perm):
     coeffs = np.rint(blocks.real).astype(np.int64)[..., None]
     return MagicUnitary(blocks, level=1, coeffs=coeffs, den=1,
                         provenance=f"perm{tuple(perm)}")
-
-
-def _root_powers(root, p, level):
-    """root^t mod p for t = 0..level-1: zeta^t at the image zeta -> root."""
-    return np.array([pow(int(root), t, p) for t in range(level)],
-                    dtype=np.int64)
 
 
 @dataclass

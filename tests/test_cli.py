@@ -65,6 +65,8 @@ def test_exit_code_matrix(tmp_path):
         (["verify"], 2),
         (["verify", "--catalog", "fourier:3", "--in", str(bad)], 2),
         (["verify", "--catalog", "fourier:x"], 2),
+        (["catalog", "haagerup:1/0"], 2),
+        (["free-bessel", "--kmax", "2", "--t", "1/0"], 2),
         (["pauli-check", "--samples", "5"], 2),
         (["nonexistent-subcommand"], 2),
         (["invariants", "--catalog", "fourier:2", "--kmax", "-1"], 2),

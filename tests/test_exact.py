@@ -9,11 +9,12 @@ both systems, contracted without building a row, must reject a basis that
 is off by one coefficient.  The prime loop must outvote a prime that moves a
 pivot.
 
-The certified inverse of an integer matrix must skip a prime that divides
-the determinant and must not accept a reconstruction until G·W = I holds
-exactly; Fraction Gauss-Jordan is its oracle.  The streaming RREF modulo a
-prime must give the pivots and rows of Python-integer Gauss-Jordan, however
-its rows are chunked.
+A lift must take as many primes as its reconstruction needs.  The certified
+inverse of an integer matrix is read from the certified nullspace of
+[G | I]: it must skip a prime that divides the determinant and must not
+accept a reconstruction that fails verification; Fraction Gauss-Jordan is
+its oracle.  The streaming RREF modulo a prime must give the pivots and
+rows of Python-integer Gauss-Jordan, however its rows are chunked.
 """
 
 from fractions import Fraction
@@ -136,6 +137,18 @@ def test_a_prime_that_moves_a_pivot_is_outvoted():
     assert [b.tolist() for b in cert.basis] == [[[-1], [p0]]]
 
 
+def test_a_lift_takes_as_many_primes_as_reconstruction_needs():
+    # r/q reconstructs only from a modulus above 2 q^2, about 2^181:
+    # eight primes below 2^26.
+    q, r = 2 ** 90 + 1, 2 ** 89 + 1
+    cert = certified_nullity(_IntegerRows([[q, r]]))
+    assert cert.dim == 1
+    assert [b.tolist() for b in cert.basis] == [[[-r], [q]]]
+    assert cert.tags == ["verify-primes=4", "verify-primes=6",
+                         "verify-primes=7", "verify-primes=8",
+                         "lift-primes=8"]
+
+
 def test_eval_vectors_is_exact_for_large_coefficients():
     # level * (p - 1)^2 exceeds 2^53 here, so a float64 dot product of
     # the reduced coefficients would round.
@@ -198,7 +211,7 @@ def _first_inverse_prime(m):
 
 def test_inverse_is_not_accepted_from_a_wrong_reconstruction():
     """1/D needs a modulus above 2D: the first prime reconstructs a wrong
-    fraction, which only the exact check G·W = I rejects."""
+    fraction, which only exact verification rejects."""
     d = 10 ** 15 + 1
     p0 = _first_inverse_prime(1)
     wrong = rational_reconstruct(pow(d, -1, p0), p0)

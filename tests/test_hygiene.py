@@ -3,8 +3,9 @@ function keeps a nested helper that it never uses, every function the
 package defines is referenced somewhere in the project, no module calls
 the numpy set routines whose first call imports numpy.ma, `hadamard`
 compares floats through tolerance keys, never by rounding, no system of
-`quantum` rebuilds its rows to verify, and the Hom system has one
-contraction for its rows and its residuals."""
+`quantum` rebuilds its rows to verify, the Hom system has one
+contraction for its rows and its residuals, and `_exact` has one prime
+loop."""
 
 import ast
 from pathlib import Path
@@ -92,6 +93,28 @@ def test_hom_system_has_one_contraction():
         assert any(isinstance(sub, ast.Attribute) and sub.attr == "_blocks"
                    for sub in ast.walk(methods[name])), name
     assert "modp" not in _class_methods(tree, "GTensor")
+
+
+def _calls(node, name):
+    return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+               and sub.func.id == name for sub in ast.walk(node))
+
+
+def test_exact_has_one_prime_loop():
+    """certified_inverse is a client of certified_nullity: CRT and
+    reconstruction run only in _lift_basis, and no cap on lift primes is
+    left."""
+    path = PACKAGE / "_exact.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, FUNCTION)}
+    assert _calls(defs["certified_inverse"], "certified_nullity")
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, FUNCTION) and node.name != "_lift_basis":
+                for name in ("crt_combine", "_reconstruct"):
+                    assert not _calls(node, name), (path.name, node.name)
+    assert "_MAX_LIFT_PRIMES" not in _referenced_names()
 
 
 def _nested_defs(func):

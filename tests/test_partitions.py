@@ -295,6 +295,22 @@ def test_weingarten_inverts_gram():
                 assert prod[a][b] == (1 if a == b else 0)
 
 
+def test_noncrossing_weingarten_at_k7():
+    """NONCROSSING at k = 7, n = 4 (429 partitions), checked without the
+    certified engine: W is symmetric, G·(W·v) = v in Fractions for a fixed
+    integer vector v (Freivalds), and Tr(G·W) is the partition count."""
+    gw = gram_weingarten(NC, 7, 4)
+    w = gw.weingarten
+    m = len(w)
+    assert m == catalan_number(7) == 429
+    assert all(w[a][b] == w[b][a] for a in range(m) for b in range(a))
+    v = [int(x) for x in np.random.default_rng(7).integers(-9, 10, m)]
+    wv = [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in w]
+    assert [sum((g * x for g, x in zip(row, wv)), Fraction(0))
+            for row in gw.gram] == v
+    assert truncated_char_moment(NC, 4, 4, 7) == 429
+
+
 def test_empty_family_has_empty_weingarten():
     gw = gram_weingarten(PartitionFamily.EVEN_NONCROSSING, 3, 4)
     assert gw.partitions == ()
