@@ -26,10 +26,13 @@ reductions modulo the phi(l) primes above p, whose product is pZ[zeta_l].
 If r vanishes at all of them for every prime of the set, then P divides
 r, so r / P lies in Z[zeta_l] and every conjugate has modulus at most
 B / P < 1.  The norm N(r / P), an integer, then has modulus below 1,
-hence is 0, and r = 0.  `leading_primes` takes the primes of a pool
-until their product exceeds B.  No reduction modulo Phi_l is needed.
-Verification below and the magic-unitary checks of `quantum` both
-decide their identities this way.
+hence is 0, and r = 0.  No reduction modulo Phi_l is needed.
+`prime_pool(l, w)` is the one pool of primes: p = 1 (mod l) with
+w p^2 < 2^53, largest first, so that sums of w residue products stay
+exact.  `zero_test_primes(l, w, B)` takes its leading primes until their
+product exceeds B, each with its embedding roots.  Verification below,
+the prime loop, and the magic-unitary checks of `quantum` read only these
+two.
 
 A system A is never held whole.  It exposes `ncols`, `level`,
 `coeff_l1_bound` and two streams, both evaluated modulo a prime
@@ -50,10 +53,9 @@ coefficients of l1 norm ||x_j||_1, and |zeta^e| = 1 under every sigma,
 so an entry r of A·x has |sigma(r)| <= ncols * coeff_l1_bound *
 max_j ||x_j||_1 =: B_1, and the zero test with B = B_1 proves A·x = 0.
 
-The prime loop.  `certified_nullity` walks the primes p = 1 (mod l) below
-the float64 bound, largest first, eliminating at every embedding of each
-prime and skipping a prime whose embeddings disagree on (rank, pivot
-columns).  A reduction modulo a prime can only lose rank or push pivots
+The prime loop.  `certified_nullity` walks prime_pool(l, ncols),
+eliminating at every embedding of each prime and skipping a prime whose
+embeddings disagree on (rank, pivot columns).  A reduction modulo a prime can only lose rank or push pivots
 to later columns, so the best key seen so far (higher rank, then the
 lexicographically first pivots) is kept with the primes that match it;
 after each such prime the basis is lifted from all of them and verified,
@@ -66,7 +68,6 @@ pin that agreement).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -163,24 +164,19 @@ def is_prime(n):
     return True
 
 
-def _primes_descending(level, p_max):
-    """Primes p <= p_max with p = 1 (mod level), largest first."""
+def prime_pool(level, width):
+    """The primes p = 1 (mod level) with width * p^2 < 2^53, largest first.
+
+    Below that bound a float64 or int64 sum of `width` products of residues
+    is exact; p <= 2^26 for every width.
+    """
     level = max(level, 1)
+    p_max = math.isqrt((1 << 53) // max(width + 1, 2))
     p = p_max - ((p_max - 1) % level)
     while p > max(level, 3):
         if is_prime(p):
             yield p
         p -= level
-
-
-def primes_one_mod(level, p_max, count):
-    """The `count` largest primes p <= p_max with p = 1 (mod level)."""
-    found = list(itertools.islice(_primes_descending(level, p_max), count))
-    if len(found) < count:
-        raise CertificationFailed(
-            f"not enough primes = 1 mod {level} below {p_max}"
-        )
-    return found
 
 
 def unity_root_mod(p, level):
@@ -217,12 +213,6 @@ def _wang(u, modulus):
     if math.gcd(num, den) > 1 or math.gcd(den, modulus) != 1:
         return None
     return num, den
-
-
-def rational_reconstruct(u, modulus):
-    """Wang reconstruction of n/d from u mod modulus, or None."""
-    pair = _wang(u, modulus)
-    return None if pair is None else Fraction(*pair)
 
 
 def crt_combine(res_a, mod_a, res_b, mod_b):
@@ -372,19 +362,19 @@ def embedding_roots(p, level):
     return [pow(r, t, p) for t in range(level) if math.gcd(t, level) == 1]
 
 
-def leading_primes(pool, bound):
-    """The leading primes of `pool` whose product first exceeds `bound`."""
-    used, prod = [], 1
-    for p in pool:
-        used.append(p)
+def zero_test_primes(level, width, bound):
+    """The zero test's primes for `bound`, each with its embedding roots.
+
+    The leading primes of prime_pool(level, width) whose product first
+    exceeds `bound`, as pairs (p, embedding_roots(p, level)).
+    """
+    out, prod = [], 1
+    for p in prime_pool(level, width):
+        out.append((p, embedding_roots(p, level)))
         prod *= p
         if prod > bound:
-            return used
+            return out
     raise CertificationFailed("prime pool exhausted below the norm bound")
-
-
-def _max_safe_prime(ncols):
-    return math.isqrt((1 << 53) // max(ncols + 1, 2))
 
 
 def _root_powers(root, p, level):
@@ -451,12 +441,13 @@ def _lift_basis(ncols, level, pivots, kept):
     return basis
 
 
-def _verify_basis(system, basis, prime_pool, tags):
+def _verify_basis(system, basis, tags):
     """Exact verification of A·x = 0 for every basis vector.
 
-    The zero test of the module docstring with B = B_1, applied through
-    the blocks that system.residuals_modp computes without rows of A.
-    ||x_j||_1 in B_1 is read from the vectors.
+    The zero test of the module docstring with B = B_1, at the embeddings
+    of zero_test_primes(level, ncols, B_1), applied through the blocks
+    that system.residuals_modp computes without rows of A.  ||x_j||_1 in
+    B_1 is read from the vectors.
     """
     if not basis:
         return True
@@ -464,10 +455,10 @@ def _verify_basis(system, basis, prime_pool, tags):
     X = np.array([np.asarray(v, dtype=object) for v in basis], dtype=object)
     bound = system.ncols * system.coeff_l1_bound * int(
         np.abs(X).sum(axis=-1).max())
-    primes = leading_primes(prime_pool, bound)
+    primes = zero_test_primes(level, system.ncols, bound)
     tags.append(f"verify-primes={len(primes)}")
-    for p in primes:
-        for root in embedding_roots(p, level):
+    for p, roots in primes:
+        for root in roots:
             Xt = _eval_vectors_mod(X, p, root, level)  # (nvec, ncols)
             XtT = np.ascontiguousarray(Xt.T)
             for block in system.residuals_modp(p, root, XtT):
@@ -494,11 +485,11 @@ def certified_nullity(system, candidates=None):
     `candidates`, exact integer cyclo vectors known to be independent
     solutions elsewhere, are verified against *this* system, and the rank
     bound then stops early; on any failure the prime loop of the module
-    docstring runs.  Each read of the primes starts from the largest.
+    docstring runs.  Each read of prime_pool(level, ncols) starts from
+    the largest prime.
     """
     ncols = system.ncols
     level = max(system.level, 1)
-    p_max = min(_max_safe_prime(ncols), 1 << 26)
     tags = []
 
     if ncols == 0:
@@ -507,12 +498,11 @@ def certified_nullity(system, candidates=None):
     if candidates is not None:
         n_cand = len(candidates)
         target = ncols - n_cand
-        p0 = next(_primes_descending(level, p_max))
+        p0 = next(prime_pool(level, ncols))
         root = embedding_roots(p0, level)[0]
         ok = n_cand == 0 or (
             _independent_mod(candidates, p0, root, level)
-            and _verify_basis(system, candidates,
-                              _primes_descending(level, p_max), tags)
+            and _verify_basis(system, candidates, tags)
         )
         if ok:
             rref = _eliminate(system, p0, root, target_rank=target)
@@ -522,7 +512,7 @@ def certified_nullity(system, candidates=None):
         tags.append("candidates-fallback")
 
     best, kept = None, []
-    for p in _primes_descending(level, p_max):
+    for p in prime_pool(level, ncols):
         roots = embedding_roots(p, level)
         rrefs = [_eliminate(system, p, root) for root in roots]
         keys = {(-r.rank, tuple(r.piv)) for r in rrefs}
@@ -537,8 +527,7 @@ def certified_nullity(system, candidates=None):
             continue
         kept.append((p, roots, rrefs))
         basis = _lift_basis(ncols, level, list(best[1]), kept)
-        if basis is not None and _verify_basis(
-                system, basis, _primes_descending(level, p_max), tags):
+        if basis is not None and _verify_basis(system, basis, tags):
             tags.append(f"lift-primes={len(kept)}")
             return NullityCertificate(ncols + best[0], level, basis, tags)
     raise CertificationFailed("prime pool exhausted")

@@ -159,6 +159,23 @@ def _count(tok):
     return int(tok)
 
 
+def _positive(tok):
+    """argparse type for a positive integer (a largest level)."""
+    if not _INT_RE.match(tok) or int(tok) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {tok!r}")
+    return int(tok)
+
+
+def _tol(tok):
+    """argparse type for a tolerance: a finite positive float."""
+    tol = float(tok)
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive tolerance, got {tok!r}")
+    return tol
+
+
 def _fraction_arg(tok):
     if _INT_RE.match(tok) or _FRAC_RE.match(tok):
         try:
@@ -603,7 +620,7 @@ def build_parser():
         if matrix:
             _add_matrix_input(sp)
         if tol is not None:
-            sp.add_argument("--tol", type=float, default=tol)
+            sp.add_argument("--tol", type=_tol, default=tol)
         return sp
 
     new("verify", _cmd_verify, "check row orthogonality", matrix=True,
@@ -616,7 +633,7 @@ def build_parser():
     sp.add_argument("--out", metavar="PATH", help="write the matrix")
     sp = new("level", _cmd_level, "smallest root-of-unity level of entries",
              matrix=True, tol=1e-9)
-    sp.add_argument("--max-level", type=int, default=256)
+    sp.add_argument("--max-level", type=_positive, default=256)
     new("regular", _cmd_regular, "row product cycle decomposition check",
         matrix=True, tol=1e-9)
     sp = new("equiv", _cmd_equiv, "decide Hadamard equivalence", matrix=True)

@@ -253,21 +253,21 @@ def _join_sizes(k, family):
 def _moebius_matrix(k):
     """Moebius matrix M[tau][pi] = mu(tau, pi) of the partitions of k points.
 
-    M[tau][pi] is 0 unless tau <= pi, which holds exactly when the join
-    of tau and pi has |pi| blocks.  The interval [tau, pi] is a product of
-    partition lattices, one per block of pi, of rank b - 1 for the b
-    blocks of tau inside it, so mu(tau, pi) = prod (-1)^(b-1) (b-1)!.
+    The partitions pi >= tau are the coarsenings of tau: one per partition
+    sigma of its blocks, whose RGS composed with tau's is pi's (both list
+    blocks by first occurrence).  [tau, pi] is then a product of partition
+    lattices, one per block B of sigma, so mu(tau, pi) is the product of
+    (-1)^(|B|-1) (|B|-1)! over the blocks of sigma.  M is 0 elsewhere.
     """
-    parts, sizes = _join_sizes(k, PartitionFamily.ALL)
+    parts = enum_partitions(k, PartitionFamily.ALL)
+    index = {pi.rgs: a for a, pi in enumerate(parts)}
     mat = np.zeros((len(parts), len(parts)), dtype=object)
     for t, tau in enumerate(parts):
-        for a, pi in enumerate(parts):
-            if sizes[t][a] == pi.block_count:
-                inside = [0] * pi.block_count
-                for blk in tau.blocks():
-                    inside[pi.rgs[blk[0] - 1]] += 1
-                mat[t, a] = math.prod((-1) ** (b - 1) * math.factorial(b - 1)
-                                      for b in inside)
+        for sigma in enum_partitions(tau.block_count, PartitionFamily.ALL):
+            a = index[tuple(sigma.rgs[lab] for lab in tau.rgs)]
+            mat[t, a] = math.prod((-1) ** (len(b) - 1)
+                                  * math.factorial(len(b) - 1)
+                                  for b in sigma.blocks())
     return mat
 
 

@@ -20,13 +20,10 @@ import numpy as np
 
 from ._exact import (
     _eval_vectors_mod,
-    _max_safe_prime,
-    _primes_descending,
     _root_powers,
     certified_nullity,
-    embedding_roots,
     float_nullity,
-    leading_primes,
+    zero_test_primes,
 )
 from .errors import (
     BudgetExceeded,
@@ -188,16 +185,6 @@ def _commutators(q):
     return ab - ab.transpose(1, 0, 2, 3)
 
 
-def _magic_primes(u, bound):
-    """The leading primes p = 1 (mod l) whose product exceeds `bound`.
-
-    They lie below the float64 bound for d columns, so d * p^2 < 2^53 and
-    the int64 products of d x d residue blocks are exact.
-    """
-    pool = _primes_descending(u.level, _max_safe_prime(u.dim))
-    return leading_primes(pool, bound)
-
-
 def _entry_l1(u):
     """Largest l1 norm of the coefficients of an entry of den * P."""
     return int(np.abs(u.coeffs).sum(axis=-1).max())
@@ -217,9 +204,9 @@ def check_magic(u, tol=DEFAULT_TOL):
     has |sigma(.)| <= L at every complex embedding sigma.  So a residual
     entry is bounded by d L^2 + den L (Q·Q - den Q), 2L (Q - Q*) and
     n L + den (row and column sums minus den I).  It is zero once it
-    vanishes at every embedding modulo primes whose product exceeds that
-    bound (`_exact.leading_primes`).  The primes satisfy d p^2 < 2^63,
-    which keeps the int64 sums of d residue products exact.  An exact
+    vanishes at every embedding of `_exact.zero_test_primes(l, d, bound)`.
+    Those primes have d p^2 < 2^53, which keeps the int64 sums of d
+    residue products exact.  Q is evaluated once per embedding.  An exact
     failure reports its residual at zeta = e^(2 pi i / l), from coeffs/den.
     """
     blocks = u.blocks if not u.is_exact else u.coeffs @ np.exp(
@@ -241,8 +228,8 @@ def check_magic(u, tol=DEFAULT_TOL):
     L, den = _entry_l1(u), u.den
     bound = max(d * L * L + den * L, 2 * L, n * L + den)
     holds = [True] * 4
-    for p in _magic_primes(u, bound):
-        qs = {root: u.modp(p, root) for root in embedding_roots(p, u.level)}
+    for p, roots in zero_test_primes(u.level, d, bound):
+        qs = {root: u.modp(p, root) for root in roots}
         for root, q in qs.items():
             adj = qs[pow(root, -1, p)].swapaxes(2, 3)
             res = _magic_residuals(q, adj, den % p)
@@ -719,17 +706,18 @@ def image_commutative(h, tol=DEFAULT_TOL):
 
     A true result witnesses a classical (commutative) symmetry image; a
     false result certifies genuine noncommutativity.  Exact on Butson
-    inputs, within tol otherwise.
+    inputs, within tol otherwise: a commutator entry of den * P is bounded
+    by 2 d L^2 (L as in check_magic), and every embedding of
+    `_exact.zero_test_primes(l, d, 2 d L^2)` decides it.
     """
     magic = _as_magic(h)
     n, d = magic.n, magic.dim
     if magic.is_exact:
-        # a commutator entry of den * P is bounded by 2 d L^2 (check_magic)
         bound = 2 * d * _entry_l1(magic) ** 2
         return all(
             not (_commutators(magic.modp(p, root).reshape(n * n, d, d))
                  % p).any()
-            for p in _magic_primes(magic, bound)
-            for root in embedding_roots(p, magic.level))
+            for p, roots in zero_test_primes(magic.level, d, bound)
+            for root in roots)
     comm = _commutators(magic.blocks.reshape(n * n, d, d))
     return bool(np.abs(comm).max() <= tol)

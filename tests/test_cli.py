@@ -72,6 +72,15 @@ def test_exit_code_matrix(tmp_path):
         (["invariants", "--catalog", "fourier:2", "--kmax", "-1"], 2),
         (["gram-det", "--family", "all", "--k", "5", "--n", "3"], 1),
         (["gram-det", "--family", "noncrossing", "--k", "3", "--n", "3"], 1),
+        (["invariants", "--catalog", "haagerup:0.25", "--kmax", "1",
+          "--tol", "nan"], 2),
+        (["regular", "--catalog", "haagerup:0.25", "--tol", "nan"], 2),
+        (["verify", "--catalog", "fourier:3", "--tol", "0"], 2),
+        (["magic", "--catalog", "fourier:3", "--tol", "-1"], 2),
+        (["one-norm", "--catalog", "fourier:3", "--tol", "inf"], 2),
+        (["level", "--catalog", "tao", "--max-level", "0"], 2),
+        (["level", "--catalog", "haagerup:0.25", "--max-level", "0"], 2),
+        (["level", "--catalog", "tao", "--max-level", "-3"], 2),
     ]
     for argv, expected in cases:
         proc = run_cli(*argv)

@@ -25,14 +25,14 @@ import pytest
 from qperm._exact import (
     ModRREF,
     _eval_vectors_mod,
-    _max_safe_prime,
     _verify_basis,
+    _wang,
     certified_inverse,
     certified_nullity,
     fraction_matrix_inverse,
-    primes_one_mod,
-    rational_reconstruct,
+    prime_pool,
     unity_root_mod,
+    zero_test_primes,
 )
 from qperm.hadamard import f6_two_three, fourier, tao
 from qperm.quantum import (
@@ -84,34 +84,33 @@ class _IntegerRows:
 
 def _verify(entry, coeff_l1_bound):
     system = _OneEntry(entry, coeff_l1_bound)
-    pool = primes_one_mod(system.level, 1 << 26, 4)
     one = np.zeros((1, system.level), dtype=object)
     one[0, 0] = 1
     tags = []
-    return _verify_basis(system, [one], pool, tags), tags, pool
+    return _verify_basis(system, [one], tags), tags
 
 
 def test_prime_product_must_exceed_the_bound():
-    p1 = primes_one_mod(5, 1 << 26, 1)[0]
+    p1 = next(prime_pool(5, 1))
     # r = p1 vanishes at every embedding mod p1, and B_1 = p1 exactly.
-    ok, tags, pool = _verify([p1, 0, 0, 0, 0], p1)
-    assert pool[0] == p1
+    ok, tags = _verify([p1, 0, 0, 0, 0], p1)
+    assert [p for p, _ in zero_test_primes(5, 1, p1)][0] == p1
     assert tags == ["verify-primes=2"]
     assert not ok
 
 
 def test_one_vanishing_embedding_is_rejected():
-    pool = primes_one_mod(5, 1 << 26, 1)
-    c = unity_root_mod(pool[0], 5)
+    p1 = next(prime_pool(5, 1))
+    c = unity_root_mod(p1, 5)
     # zeta_5 - c vanishes at zeta -> c mod p1 and at no other embedding.
     entry = [-c, 1, 0, 0, 0]
-    assert next(_OneEntry(entry, 1 + c).chunks_modp(pool[0], c))[0, 0] == 0
-    ok, _, _ = _verify(entry, 1 + c)
+    assert next(_OneEntry(entry, 1 + c).chunks_modp(p1, c))[0, 0] == 0
+    ok, _ = _verify(entry, 1 + c)
     assert not ok
 
 
 def test_a_true_zero_is_accepted():
-    ok, tags, _ = _verify([1, 1, 1, 1, 1], 5)
+    ok, tags = _verify([1, 1, 1, 1, 1], 5)
     assert ok
     assert tags == ["verify-primes=1"]
 
@@ -131,7 +130,7 @@ def test_a_prime_that_moves_a_pivot_is_outvoted():
     # Modulo the first pool prime p0 the row [p0, 1] reads [0, 1]: its
     # pivot moves to column 1 and the lift (1, 0) fails verification.
     # Every other prime has the earlier pivot, column 0.
-    p0 = primes_one_mod(1, min(_max_safe_prime(2), 1 << 26), 1)[0]
+    p0 = next(prime_pool(1, 2))
     cert = certified_nullity(_IntegerRows([[p0, 1]]))
     assert cert.dim == 1
     assert [b.tolist() for b in cert.basis] == [[[-1], [p0]]]
@@ -195,10 +194,8 @@ def test_hom_verification_rejects_a_perturbed_basis(h, system):
     basis = info["basis"]
     bad = [b.copy() for b in basis]
     bad[0][0, 0] += 1
-    pool = primes_one_mod(h.level, min(_max_safe_prime(system.ncols),
-                                       1 << 26), 4)
-    assert _verify_basis(system, basis, pool, [])
-    assert not _verify_basis(system, bad, pool, [])
+    assert _verify_basis(system, basis, [])
+    assert not _verify_basis(system, bad, [])
     cert = certified_nullity(system, candidates=bad)
     assert cert.dim == dim
     assert "candidates-fallback" in cert.tags
@@ -206,7 +203,7 @@ def test_hom_verification_rejects_a_perturbed_basis(h, system):
 
 def _first_inverse_prime(m):
     """The first prime certified_inverse tries for an m x m matrix."""
-    return primes_one_mod(1, _max_safe_prime(2 * m), 1)[0]
+    return next(prime_pool(1, 2 * m))
 
 
 def test_inverse_is_not_accepted_from_a_wrong_reconstruction():
@@ -214,8 +211,8 @@ def test_inverse_is_not_accepted_from_a_wrong_reconstruction():
     fraction, which only exact verification rejects."""
     d = 10 ** 15 + 1
     p0 = _first_inverse_prime(1)
-    wrong = rational_reconstruct(pow(d, -1, p0), p0)
-    assert wrong is not None and wrong != Fraction(1, d)
+    wrong = _wang(pow(d, -1, p0), p0)
+    assert wrong is not None and Fraction(*wrong) != Fraction(1, d)
     assert certified_inverse([[d]]) == [[Fraction(1, d)]]
 
 
@@ -224,7 +221,7 @@ def test_inverse_needs_several_primes_when_reconstruction_fails():
     p0 = _first_inverse_prime(3)
     w = fraction_matrix_inverse(g)
     residues = [x.numerator * pow(x.denominator, -1, p0) for r in w for x in r]
-    assert None in [rational_reconstruct(u, p0) for u in residues]
+    assert None in [_wang(u, p0) for u in residues]
     assert certified_inverse(g) == w
 
 
@@ -293,7 +290,7 @@ def _chunks(rng, rows):
 
 
 @pytest.mark.parametrize(
-    "p", [2, 3, 10007, primes_one_mod(1, _max_safe_prime(12), 1)[0]])
+    "p", [2, 3, 10007, next(prime_pool(1, 12))])
 def test_mod_rref_matches_integer_gauss_jordan(p):
     rng = np.random.default_rng(p)
     for _ in range(13):

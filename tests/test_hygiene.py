@@ -4,8 +4,8 @@ package defines is referenced somewhere in the project, no module calls
 the numpy set routines whose first call imports numpy.ma, `hadamard`
 compares floats through tolerance keys, never by rounding, no system of
 `quantum` rebuilds its rows to verify, the Hom system has one
-contraction for its rows and its residuals, and `_exact` has one prime
-loop."""
+contraction for its rows and its residuals, `_exact` has one prime
+loop, and one prime pool and one zero test serve every exact check."""
 
 import ast
 from pathlib import Path
@@ -115,6 +115,49 @@ def test_exact_has_one_prime_loop():
                 for name in ("crt_combine", "_reconstruct"):
                     assert not _calls(node, name), (path.name, node.name)
     assert "_MAX_LIFT_PRIMES" not in _referenced_names()
+
+
+def _is_shift(node, bits):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == bits)
+
+
+def _builds_a_pool(node):
+    """A float64 prime bound (isqrt of 2^53 / ...), the old 2^26 cap, or
+    a name of the pool helpers that `_exact.prime_pool` replaced."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+        return name == "isqrt" and any(_is_shift(sub, 53)
+                                       for sub in ast.walk(node))
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    return _is_shift(node, 26) or name in ("_max_safe_prime",
+                                           "_primes_descending")
+
+
+def test_one_prime_pool_and_one_zero_test():
+    """quantum takes its primes and embeddings from
+    _exact.zero_test_primes alone, and only _exact.prime_pool computes
+    which primes the pool holds, in the package and in the tests."""
+    path = PACKAGE / "quantum.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"_primes_descending", "_max_safe_prime",
+                           "leading_primes", "embedding_roots"}
+    offenders = []
+    for top in (PACKAGE, ROOT / "tests"):
+        for path in sorted(top.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            pool = {id(sub) for node in ast.walk(tree)
+                    if isinstance(node, FUNCTION) and node.name == "prime_pool"
+                    for sub in ast.walk(node)}
+            offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                          if _builds_a_pool(node) and id(node) not in pool]
+    assert not offenders, offenders
 
 
 def _nested_defs(func):

@@ -311,6 +311,25 @@ def test_noncrossing_weingarten_at_k7():
     assert truncated_char_moment(NC, 4, 4, 7) == 429
 
 
+def test_classical_weingarten_at_k7():
+    """ALL at k = 7, n = 9 (877 partitions), checked as NONCROSSING is
+    above: W is symmetric, G·(W·v) = v exactly for a fixed integer vector
+    v, and Tr(G·W) is the partition count.  The products run in integers
+    over the common denominator D of W: G·(D·W·v) = D·v."""
+    gw = gram_weingarten(ALL, 7, 9)
+    w = gw.weingarten
+    m = len(w)
+    assert m == bell_number(7) == 877
+    assert all(w[a][b] == w[b][a] for a in range(m) for b in range(a))
+    den = math.lcm(*(x.denominator for row in w for x in row))
+    v = [int(x) for x in np.random.default_rng(7).integers(-9, 10, m)]
+    dwv = [sum(x.numerator * (den // x.denominator) * y
+               for x, y in zip(row, v)) for row in w]
+    assert [sum(g * x for g, x in zip(row, dwv))
+            for row in gw.gram] == [den * x for x in v]
+    assert truncated_char_moment(ALL, 9, 9, 7) == 877
+
+
 def test_empty_family_has_empty_weingarten():
     gw = gram_weingarten(PartitionFamily.EVEN_NONCROSSING, 3, 4)
     assert gw.partitions == ()

@@ -10,9 +10,9 @@ import pytest
 import qperm.quantum as quantum
 from qperm._exact import (
     ModRREF,
-    _max_safe_prime,
     embedding_roots,
-    primes_one_mod,
+    prime_pool,
+    zero_test_primes,
 )
 from qperm.errors import BudgetExceeded, NotHadamard
 from qperm.hadamard import (
@@ -30,7 +30,6 @@ from qperm.quantum import (
     MagicUnitary,
     _FixSystem,
     _HomSystem,
-    _magic_primes,
     check_magic,
     fix_dim_direct,
     g_power,
@@ -86,8 +85,7 @@ def test_exact_magic_check_reads_the_coefficients():
 
 def test_exact_magic_check_rejects_a_defect_at_one_embedding():
     u = magic_from_hadamard(fourier(5))
-    p0 = _magic_primes(u, 0)[0]
-    roots = embedding_roots(p0, 5)
+    [(p0, roots)] = zero_test_primes(5, u.dim, 0)
     # a small a + b zeta + e zeta^2 that vanishes at zeta -> roots[0] mod p0
     b, e = np.meshgrid(np.arange(-400, 401), np.arange(-400, 401))
     a = -(b * roots[0] + e * (roots[0] ** 2 % p0)) % p0
@@ -326,8 +324,7 @@ def _defining_chunks(g, n, k, l, s1, s2, p=None):
 
 
 def _first_prime(system):
-    return primes_one_mod(system.level,
-                          min(_max_safe_prime(system.ncols), 1 << 26), 1)[0]
+    return next(prime_pool(system.level, system.ncols))
 
 
 def _g_counts_modp(h, p, root):
