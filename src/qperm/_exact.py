@@ -38,8 +38,14 @@ A system A is never held whole.  It exposes `ncols`, `level`,
 `coeff_l1_bound` and two streams, both evaluated modulo a prime
 p = 1 (mod l) at an image zeta -> root:
 
-* `chunks_modp(p, root)` yields row chunks of A, or of rows C with the
-  row space of A mod p, which elimination reads;
+* `chunks_modp(p, root)` yields row chunks of A, or of rows C = M·A, M
+  over Z[zeta_l], whose rank over Q(zeta_l) equals rank A; elimination
+  reads them.  Their rank modulo p is at most that of A, so ncols - rank
+  stays an upper bound.  Where the ranks agree at a prime the row spaces
+  modulo p agree, and with them the RREF and the lifted basis.  Rows of
+  lower rank over Q(zeta_l) would make the nullity bound too large at
+  every prime: the lifted basis would hold vectors outside the nullspace,
+  never verify, and the prime loop would not end;
 * `residuals_modp(p, root, X)` yields blocks, for X of shape
   (ncols, nvec) with entries in [0, p), whose rows all vanish only if
   A·X vanishes mod p: the rows of A·X itself, or of C·X for rows C with

@@ -160,7 +160,8 @@ def _count(tok):
 
 
 def _positive(tok):
-    """argparse type for a positive integer (a largest level)."""
+    """argparse type for a positive integer (a largest level, order or
+    grid size)."""
     if not _INT_RE.match(tok) or int(tok) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {tok!r}")
@@ -638,7 +639,7 @@ def build_parser():
         matrix=True, tol=1e-9)
     sp = new("equiv", _cmd_equiv, "decide Hadamard equivalence", matrix=True)
     _add_matrix_input(sp, suffix="2")
-    sp.add_argument("--max-order", type=int, default=8)
+    sp.add_argument("--max-order", type=_positive, default=8)
     sp = new("butson-enum", _cmd_butson_enum,
              "enumerate dephased Butson matrices")
     sp.add_argument("--n", type=int, required=True)
@@ -650,8 +651,8 @@ def build_parser():
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp = new("table", _cmd_table, "existence/obstruction grid")
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--lmax", type=int, required=True)
+    sp.add_argument("--nmax", type=_positive, required=True)
+    sp.add_argument("--lmax", type=_positive, required=True)
     new("magic", _cmd_magic, "magic unitary residuals and orbit count",
         matrix=True, tol=1e-9)
     sp = new("invariants", _cmd_invariants, "quantum invariants c_0..c_k",

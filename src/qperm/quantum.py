@@ -356,6 +356,47 @@ def g_power(gt, k):
 # ---------------------------------------------------------------------------
 
 
+def _rank_one_factors(q, p):
+    """u, v with q[i, j] = u[i, j] v[i, j]^T mod p, or None if a block has
+    rank two or more modulo p.
+
+    Each d x d block is split at its first nonzero residue q[a0, b0]: u is
+    column b0 and v is row a0 times q[a0, b0]^-1, so u v^T has rank one and
+    agrees with the block on row a0 and column b0; the check u v^T = q is
+    exact.  A zero block gives u = v = 0.  A magic_from_hadamard block
+    x x^* has q[0, 0] = |x_0|^2 = 1, so u is its column 0 and v its row 0.
+    """
+    n, d = q.shape[0], q.shape[2]
+    blocks = q.reshape(n * n, d, d)
+    flat = blocks.reshape(n * n, d * d)
+    lead = np.argmax(flat != 0, axis=1)
+    a0, b0 = np.divmod(lead, d)
+    idx = np.arange(n * n)
+    inv = np.array([pow(int(x), -1, p) if x else 0 for x in flat[idx, lead]],
+                   dtype=np.int64)
+    u = blocks[idx, :, b0]
+    v = blocks[idx, a0, :] * inv[:, None] % p
+    if ((u[:, :, None] * v[:, None, :] - blocks) % p).any():
+        return None
+    return u.reshape(n, n, d), v.reshape(n, n, d)
+
+
+def _block_gram(q, p):
+    """Gram blocks g[i, j, i', j'] = V_ij^T U_i'j' mod p, of shape r x r.
+
+    The factors are Q_ij = U_ij V_ij^T: u and v of _rank_one_factors
+    (r = 1) when every block has rank one modulo p, else U = Q and V = I
+    (r = d), where g[i, j, i', j'] = Q_i'j' is a broadcast view.  Either way
+    Tr(Q_{i_1 j_1} ... Q_{i_k j_k}) = tr(g[1, 2] g[2, 3] ... g[k, 1]) for
+    g[t, t+1] = g[i_t, j_t, i_{t+1}, j_{t+1}].
+    """
+    factors = _rank_one_factors(q, p)
+    if factors is None:
+        return np.broadcast_to(q, q.shape[:2] + q.shape)
+    u, v = factors
+    return (np.einsum("ija,kla->ijkl", v, u) % p)[..., None, None]
+
+
 class _FixSystem:
     """Streamed system whose nullspace is Fix of the k-fold block product.
 
@@ -364,8 +405,32 @@ class _FixSystem:
     Exact rows are scaled by den^k so all coefficients are cyclotomic
     integers; the stream yields one chunk per value of i_1.
 
+    Elimination of an exact magic unitary reads the trace rows instead.
+    With tr the normalised trace on d x d blocks, let T_k[I, J] =
+    tr(P_{i_1 j_1} ... P_{i_k j_k}).  The sum over a of the rows (I, a, a)
+    is d den^k (T_k - I)[I, .], so the trace rows are integer combinations
+    of the rows above and their rank is at most rank A, over Q(zeta_l) and
+    modulo every p.  For a magic unitary the ranks are equal over C:
+    U = sum e_IJ (x) P_IJ is unitary and T_k = (id (x) tr)(U), so a vector
+    with T_k xi = xi is an average of the d vectors U(xi (x) e_a) of norm
+    ||xi|| that equals xi, which forces U(xi (x) e_a) = xi (x) e_a for
+    every a; hence ker(T_k - I) = Fix.  That is the finite-k form of the
+    Cesaro formula for Hopf images of matrix models (Banica-Franz-Skalski,
+    "Idempotent states and the inner linearity property", 2012).  The gate
+    is the exact check_magic: without it the trace rows may have lower
+    rank, and their lifted basis would never verify.  The trace rows come
+    from one chain of Gram blocks (_block_gram); when every block has rank
+    one they are cyclic products of k scalar Gram entries, n^k rows per
+    stream where the full rows number n^k d^2.
+
+    The float route keeps the full rows: for xi outside Fix,
+    2 Re<xi, (I - T_k) xi> = (1/d) sum_a ||(I - U)(xi (x) e_a)||^2, so the
+    small singular values of T_k - I can be about the squares of those of
+    the full rows, which would erode the singular-value gap.
+
     Verification does not use the stream: residuals_modp contracts the
-    candidate vectors against the blocks one tensor site at a time.
+    candidate vectors against the blocks one tensor site at a time, so the
+    lower bound checks the full system.
     """
 
     def __init__(self, magic, k):
@@ -382,6 +447,7 @@ class _FixSystem:
                                    * self.d ** max(k - 1, 0) + magic.den ** k)
         else:
             self.coeff_l1_bound = None
+        self.traced = magic.is_exact and check_magic(magic).ok
 
     def _chunks(self, pm, corr, p):
         n, d, k = self.n, self.d, self.k
@@ -403,9 +469,43 @@ class _FixSystem:
                 V %= p
             yield V.reshape(nsuf * d * d, self.ncols)
 
+    def _trace_chunks(self, q, p):
+        """Rows Tr(Q_{i_1 j_1} ... Q_{i_k j_k}) - d den^k delta_IJ mod p.
+
+        Q = den * P mod p.  The chunk of i_1 holds the rows I = (i_1, I')
+        in the order of I'.  The chain W[j_1, i_2, j_2, .., i_t, j_t] =
+        g[1, 2] ... g[t-1, t] adds one site per step, a sum of r products
+        below p^2; the trace against the closing g[k, 1] sums r^2 reduced
+        products.
+        """
+        n, k = self.n, self.k
+        g = _block_gram(q, p)
+        corr = self.d * pow(self.magic.den, k, p)
+        nsuf = n ** (k - 1)
+        suf = np.arange(nsuf)
+        # (j_1, i_2, j_2, .., i_k, j_k) -> (i_2..i_k, j_1..j_k)
+        order = [*range(1, 2 * k - 1, 2), *range(0, 2 * k - 1, 2)]
+        for i1 in range(n):
+            if k == 1:
+                rows = np.einsum("jjaa->j", g[i1, :, i1])
+            else:
+                W = g[i1]
+                for _ in range(k - 2):
+                    W = np.einsum("...ijab,ijklbc->...ijklac", W, g) % p
+                # close[j_1, .., i_k, j_k, a, b] = g[i_k, j_k, i_1, j_1][b, a]
+                close = g[:, :, i1].transpose(2, 0, 1, 4, 3)
+                close = close.reshape((n,) + (1,) * (2 * k - 4)
+                                      + close.shape[1:])
+                rows = (W * close % p).sum(axis=(-2, -1))
+            rows = rows.transpose(order).reshape(nsuf, self.ncols)
+            rows[suf, i1 * nsuf + suf] -= corr
+            yield rows % p
+
     def chunks_modp(self, p, root):
-        corr = pow(self.magic.den, self.k, p)
-        return self._chunks(self.magic.modp(p, root), corr, p)
+        q = self.magic.modp(p, root)
+        if self.traced:
+            return self._trace_chunks(q, p)
+        return self._chunks(q, pow(self.magic.den, self.k, p), p)
 
     def chunks_complex(self):
         return self._chunks(self.magic.blocks, 1.0, None)

@@ -81,6 +81,13 @@ def test_exit_code_matrix(tmp_path):
         (["level", "--catalog", "tao", "--max-level", "0"], 2),
         (["level", "--catalog", "haagerup:0.25", "--max-level", "0"], 2),
         (["level", "--catalog", "tao", "--max-level", "-3"], 2),
+        (["equiv", "--catalog", "fourier:4", "--catalog2", "fourier:4",
+          "--max-order", "0"], 2),
+        (["equiv", "--catalog", "fourier:4", "--catalog2", "fourier:4",
+          "--max-order", "-5"], 2),
+        (["table", "--nmax", "-1", "--lmax", "3"], 2),
+        (["table", "--nmax", "3", "--lmax", "-1"], 2),
+        (["table", "--nmax", "0", "--lmax", "3"], 2),
     ]
     for argv, expected in cases:
         proc = run_cli(*argv)

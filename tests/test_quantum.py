@@ -10,6 +10,7 @@ import pytest
 import qperm.quantum as quantum
 from qperm._exact import (
     ModRREF,
+    certified_nullity,
     embedding_roots,
     prime_pool,
     zero_test_primes,
@@ -477,21 +478,148 @@ FIX_RESIDUAL_CASES = [
       "level210")]
 
 
+def _full_fix_modp(u, k, p, root):
+    """The full Fix rows (I, a, b) modulo p, shaped (n^k, d, d, n^k).
+
+    Row (I, a, b) is (Q_{i_1 j_1} ... Q_{i_k j_k})_{ab} - den^k at J = I
+    and a = b, for Q = den * P mod p, from the chain S of the blocks.
+    """
+    n, d = u.n, u.dim
+    q = u.modp(p, root)
+    nsuf = n ** (k - 1)
+    suf = np.arange(nsuf)
+    out = []
+    for i1 in range(n):
+        S = q[i1].transpose(1, 0, 2)[None, ...]  # (I', a, J, c)
+        for _ in range(1, k):
+            S = np.einsum("IaJc,ijcb->IiaJjb", S, q) % p
+            S = S.reshape(S.shape[0] * n, d, S.shape[3] * n, d)
+        V = np.ascontiguousarray(S.transpose(0, 1, 3, 2))
+        for a in range(d):
+            V[suf, a, a, i1 * nsuf + suf] -= pow(u.den, k, p)
+        out.append(V % p)
+    return np.concatenate(out)
+
+
 @pytest.mark.parametrize(
     "u,k", [case[:2] for case in FIX_RESIDUAL_CASES],
     ids=[f"{name}-{k}" for _, k, name in FIX_RESIDUAL_CASES])
 def test_fix_residuals_equal_built_chunks(u, k):
-    """Site-by-site residuals equal A @ X over the built row chunks, for
-    X near p, where the float64 sums come closest to 2^53."""
+    """Site-by-site residuals equal A @ X over the full Fix rows, built
+    here from the block chain, for X near p, where the float64 sums come
+    closest to 2^53.  The stream's rows @ X are the sums over a of the
+    rows (I, a, a) @ X for a magic unitary, and the full rows @ X for the
+    dense grid, which is not one."""
     system = _FixSystem(u, k)
+    assert system.traced == check_magic(u).ok
     p = _first_prime(system)
     X = p - 1 - np.random.default_rng([u.n, u.dim, k]).integers(
         0, 1 << 10, (system.ncols, 3))
     for root in embedding_roots(p, system.level):
-        built = np.vstack([c @ X % p for c in system.chunks_modp(p, root)])
+        full = _full_fix_modp(u, k, p, root)
+        built = full.reshape(-1, system.ncols) @ X % p
         got = np.vstack(list(system.residuals_modp(p, root, X)))
         assert got.shape == built.shape
         assert (got == built).all(), root
+        stream = np.vstack([c @ X % p for c in system.chunks_modp(p, root)])
+        if system.traced:
+            traced = np.trace(full, axis1=1, axis2=2) % p @ X % p
+            assert (stream == traced).all(), root
+        else:
+            assert (stream == built).all(), root
+
+
+def _doubled(u):
+    """u with den and every coefficient doubled: Q = den * P doubles, so a
+    rank-one block no longer has Q[0, 0] = 1."""
+    return MagicUnitary(u.blocks, level=u.level, coeffs=2 * u.coeffs,
+                        den=2 * u.den)
+
+
+TRACE_FORM_MAGICS = [(h.provenance, magic_from_hadamard(h)) for h in (
+    fourier(4), tao(), haagerup(Fraction(1, 4)), f4q(Fraction(1, 8)))] + [
+    ("fourier(4)-den8", _doubled(magic_from_hadamard(fourier(4)))),
+    # blocks of a permutation are zero or one
+    ("perm", permutation_magic([2, 0, 3, 1])),
+]
+
+
+@pytest.mark.parametrize("u", [u for _, u in TRACE_FORM_MAGICS],
+                         ids=[name for name, _ in TRACE_FORM_MAGICS])
+def test_trace_rows_closed_form_equals_traced_chain(monkeypatch, u):
+    """At k = 3 the rank-one closed form, cyclic products of scalar Gram
+    entries, equals the chain of the d x d blocks traced, entry by entry
+    at every embedding."""
+    system = _FixSystem(u, 3)
+    assert system.traced
+    p = _first_prime(system)
+    roots = embedding_roots(p, system.level)
+    closed = []
+    for root in roots:
+        gram = quantum._block_gram(system.magic.modp(p, root), p)
+        assert gram.shape[-2:] == (1, 1)
+        closed.append(np.vstack(list(system.chunks_modp(p, root))))
+    monkeypatch.setattr(quantum, "_rank_one_factors", lambda q, p: None)
+    for root, rows in zip(roots, closed):
+        chain = np.vstack(list(system.chunks_modp(p, root)))
+        assert chain.shape == rows.shape == (system.ncols, system.ncols)
+        assert (chain == rows).all(), root
+
+
+def _rank_two_magic():
+    """magic(F4) (+) magic(F2 x F2): n = 4, d = 8, den 4, level 4, and
+    every block has rank two.  The level-2 coefficients move from zeta_2^t
+    to zeta_4^(2t)."""
+    a = magic_from_hadamard(fourier(4))
+    b = magic_from_hadamard(tensor(fourier(2), fourier(2)))
+    assert (a.den, a.level, b.den, b.level) == (4, 4, 4, 2)
+    blocks = np.zeros((4, 4, 8, 8), dtype=np.complex128)
+    blocks[:, :, :4, :4] = a.blocks
+    blocks[:, :, 4:, 4:] = b.blocks
+    coeffs = np.zeros((4, 4, 8, 8, 4), dtype=np.int64)
+    coeffs[:, :, :4, :4] = a.coeffs
+    coeffs[:, :, 4:, 4:, ::2] = b.coeffs
+    return MagicUnitary(blocks, level=4, coeffs=coeffs, den=4,
+                        provenance="magic(F4)+magic(F2xF2)")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rank_two_magic_takes_the_traced_chain(k):
+    """Blocks of rank two take the chain fallback, n^(k-1) rows per
+    chunk, and certify what the full rows certify."""
+    u = _rank_two_magic()
+    assert check_magic(u).ok
+    system = _FixSystem(u, k)
+    assert system.traced
+    p = _first_prime(system)
+    for root in embedding_roots(p, u.level):
+        assert quantum._rank_one_factors(u.modp(p, root), p) is None
+        chunks = list(system.chunks_modp(p, root))
+        assert [c.shape for c in chunks] == [(4 ** (k - 1), 4 ** k)] * 4
+    full = _FixSystem(u, k)
+    full.traced = False
+    got, want = certified_nullity(system), certified_nullity(full)
+    assert (got.dim, got.tags) == (want.dim, want.tags)
+    assert all((x == y).all() for x, y in zip(got.basis, want.basis))
+    assert len(got.basis) == got.dim >= 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_non_magic_exact_input_keeps_the_full_rows(k):
+    """An exact grid that fails check_magic streams all n^k d^2 full rows
+    and certifies full rank, as the full rows always did."""
+    u = magic_from_hadamard(fourier(5))
+    coeffs = u.coeffs.copy()
+    coeffs[0, 1, 2, 3, 0] += 1
+    bad = MagicUnitary(u.blocks, level=5, coeffs=coeffs, den=u.den)
+    system = _FixSystem(bad, k)
+    assert not system.traced
+    p = _first_prime(system)
+    for root in embedding_roots(p, 5):
+        rows = sum(c.shape[0] for c in system.chunks_modp(p, root))
+        assert rows == 5 ** k * 25
+    cert = certified_nullity(system)
+    assert (cert.dim, cert.tags) == (0, ["full-rank"])
 
 
 def _rref(chunks, ncols, p):
