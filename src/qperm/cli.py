@@ -409,6 +409,8 @@ def _cmd_obstruct(args):
 
 
 def _cmd_table(args):
+    if args.nmax < 2 or args.lmax < 2:
+        raise UsageError("--nmax and --lmax must be at least 2")
     grid = obstruction_table(args.nmax, args.lmax)
     payload = {"cells": grid, "lmax": args.lmax, "nmax": args.nmax}
     return payload, [], []

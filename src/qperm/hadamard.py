@@ -907,7 +907,10 @@ def _catalog_witness(n, lev):
 
 
 def obstruction_table(n_max, l_max):
-    """Existence grid: witness, strongest obstruction, or Unknown."""
+    """Existence grid over the orders 2..n_max and the levels 2..l_max:
+    witness, strongest obstruction, or Unknown."""
+    if n_max < 2 or l_max < 2:
+        raise ValueError("table needs n_max >= 2 and l_max >= 2")
     if n_max > 10 or l_max > 14:
         raise OrderTooLarge("table supported for n_max <= 10, l_max <= 14")
     grid = []

@@ -88,6 +88,8 @@ class MagicUnitary:
                 raise ShapeMismatch(
                     f"coefficient tensor must have shape {expect}"
                 )
+            if den == 0:
+                raise MalformedMatrix("coefficient form needs den != 0")
             self.level = int(level)
             self.coeffs = coeffs
             self.den = int(den)
@@ -272,33 +274,19 @@ def orbit_components(u, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-class GTensor:
-    """Four-index scalar-product tensor of a Hadamard matrix.
-
-    values[i, a, j, b] = sum_k H_ik * conj(H_jk) * conj(H_ak) * H_bk, as
-    complex numbers.  The exact route never builds it: modulo p the Hom
-    system forms G from the residues of H (_HomSystem._modp_factors).
-    """
-
-    def __init__(self, n, values, provenance=""):
-        self.n = n
-        self.values = values
-        self.provenance = provenance
-
-    def __repr__(self):
-        return f"GTensor(n={self.n})"
-
-
 def g_tensor(h):
-    """Build the complex G tensor of a verified Hadamard matrix."""
+    """Complex G tensor of a verified Hadamard matrix, as an array.
+
+    G[i, a, j, b] = sum_k H_ik * conj(H_jk) * conj(H_ak) * H_bk.  The exact
+    route never builds it: modulo p the Hom system forms G from the
+    residues of H (_HomSystem._modp_factors).
+    """
     if not isinstance(h, Hadamard):
         raise MalformedMatrix("expected a Hadamard value")
     if not h.verify():
         raise NotHadamard("rows are not orthogonal")
     ent = h.entries
-    vals = np.einsum("ik,jk,ak,bk->iajb",
-                     ent, ent.conj(), ent.conj(), ent)
-    return GTensor(h.n, vals, provenance=h.provenance)
+    return np.einsum("ik,jk,ak,bk->iajb", ent, ent.conj(), ent.conj(), ent)
 
 
 def _chain_apply(G4, steps, start, ends, zero, Y, p=None):
@@ -331,24 +319,6 @@ def _chain_apply(G4, steps, start, ends, zero, Y, p=None):
         W %= p
     out = np.einsum("apqc,epq->eapc", W, ends)
     return out.reshape(len(ends), W.shape[0] * n, -1)
-
-
-def g_power(gt, k):
-    """Chain matrix of a G tensor on k-fold multi-indices.
-
-    Entry at ((i_1..i_k), (j_1..j_k)) is the product of the k-1
-    consecutive-pair factors G[i_t, i_{t-1}, j_t, j_{t-1}], t = 2..k;
-    multi-indices are packed row-major with the first point most
-    significant.  Requires k >= 2.
-    """
-    if not isinstance(gt, GTensor):
-        gt = g_tensor(gt)
-    if k < 2:
-        raise ValueError("g_power needs k >= 2")
-    n = gt.n
-    ones = np.ones((n, n), dtype=np.complex128)
-    return _chain_apply(gt.values, k, ones, ones[None], None,
-                        np.eye(n ** k, dtype=np.complex128))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +398,12 @@ class _FixSystem:
     small singular values of T_k - I can be about the squares of those of
     the full rows, which would erode the singular-value gap.
 
-    Verification does not use the stream: residuals_modp contracts the
-    candidate vectors against the blocks one tensor site at a time, so the
-    lower bound checks the full system.
+    One contraction serves the full rows and the residuals (_blocks): it
+    contracts X against the blocks one tensor site at a time.  The full
+    rows, complex or of an exact input that is not magic, are its blocks
+    at X = I, one per i_1.  Verification runs it on the candidate vectors
+    over all i_1 at once, so the lower bound checks the full system and
+    no row is built.
     """
 
     def __init__(self, magic, k):
@@ -448,26 +421,6 @@ class _FixSystem:
         else:
             self.coeff_l1_bound = None
         self.traced = magic.is_exact and check_magic(magic).ok
-
-    def _chunks(self, pm, corr, p):
-        n, d, k = self.n, self.d, self.k
-        for i1 in range(n):
-            S = pm[i1].transpose(1, 0, 2)[None, ...]  # (1, a, j1, c)
-            for t in range(1, k):
-                S = np.einsum("IaJc,ijcb->IiaJjb", S, pm)
-                if p is not None:
-                    S %= p
-                r = S.shape[0] * n
-                S = S.reshape(r, d, S.shape[3] * n, d)
-            V = np.ascontiguousarray(S.transpose(0, 1, 3, 2))
-            nsuf = n ** (k - 1)
-            suf = np.arange(nsuf)
-            cols = i1 * nsuf + suf
-            for a in range(d):
-                V[suf, a, a, cols] -= corr
-            if p is not None:
-                V %= p
-            yield V.reshape(nsuf * d * d, self.ncols)
 
     def _trace_chunks(self, q, p):
         """Rows Tr(Q_{i_1 j_1} ... Q_{i_k j_k}) - d den^k delta_IJ mod p.
@@ -501,46 +454,82 @@ class _FixSystem:
             rows[suf, i1 * nsuf + suf] -= corr
             yield rows % p
 
+    def _blocks(self, pm, X, corr, p, firsts):
+        """Blocks A·X of the rows whose i_1 lies in each slice of firsts.
+
+        pm holds the blocks Q = den * P (residues modulo p as float64, or
+        complex with p None), X has shape (ncols, nvec) and row (I, a, b)
+        of A is sum_J (Q_{i_1 j_1} ... Q_{i_k j_k})_{ab} X[J] - corr X[I]
+        delta_ab.  Site 1 gives W[i_1, a, c, J', v] = sum_j Q[i_1, j, a, c]
+        X[(j, J'), v] for the i_1 of the slice; each later site t contracts
+        j_t and the bond c against Q[i_t, j_t, c, b].  Between sites W is
+        kept as W[c, j_t, rest, I, a], so tensordot reads it without a copy
+        and a site of one bond group holds at most two arrays the size of
+        the block it yields.  Modulo p (X in [0, p)) a site adds n products of at most
+        (p-1)^2 per bond value, `group` bond values at once, to the reduced
+        sum of the groups before: below 2^53, exact in float64.  The
+        engine's primes have p^2 < 2^53 / (n^k + 1), so
+        n (p-1)^2 + p <= n^k p^2 < 2^53 and group >= 1.  With p None the
+        arithmetic is complex and the bond is one group.  The block of a
+        slice holds its rows (I, a, b) in order.
+        """
+        n, d, k = self.n, self.d, self.k
+        nvec = X.shape[1]
+        group = d if p is None else ((1 << 53) - p) // (n * (p - 1) ** 2)
+        X = X.reshape(n, -1)
+        diag = np.arange(d)
+        axes = ([2, 1], [0, 1])
+        for first in firsts:
+            W = np.tensordot(pm[first], X, ([1], [0]))  # W[I, a, c, J', v]
+            if p is not None:
+                W %= p
+            if k > 1:
+                W = np.ascontiguousarray(W.transpose(2, 3, 0, 1))
+            for t in range(1, k):
+                W = W.reshape((d, n, -1) + W.shape[2:])
+                acc = np.tensordot(pm[:, :, :group], W[:group], axes)
+                for c in range(group, d, group):  # only modulo p
+                    acc %= p
+                    acc += np.tensordot(pm[:, :, c:c + group],
+                                        W[c:c + group], axes)
+                if p is not None:
+                    acc %= p
+                del W
+                # acc[i_t, b, rest, I, a] -> W[b, rest, (I, i_t), a], and
+                # after the last site -> W[(I, i_t), a, b, v]
+                last = t == k - 1
+                W = np.ascontiguousarray(acc.transpose(
+                    (3, 0, 4, 1, 2) if last else (1, 2, 3, 0, 4)))
+                del acc
+                W = W.reshape((-1, d, d, nvec) if last
+                              else (d, W.shape[1], -1, d))
+            W[:, diag, diag] -= corr * X[first].reshape(-1, 1, nvec)
+            if p is not None:
+                W %= p
+            yield W.reshape(-1, nvec)
+
     def chunks_modp(self, p, root):
         q = self.magic.modp(p, root)
         if self.traced:
             return self._trace_chunks(q, p)
-        return self._chunks(q, pow(self.magic.den, self.k, p), p)
+        return self._blocks(q.astype(np.float64), np.eye(self.ncols),
+                            pow(self.magic.den, self.k, p), p,
+                            [slice(i, i + 1) for i in range(self.n)])
 
     def chunks_complex(self):
-        return self._chunks(self.magic.blocks, 1.0, None)
+        return self._blocks(self.magic.blocks,
+                            np.eye(self.ncols, dtype=np.complex128), 1.0,
+                            None, [slice(i, i + 1) for i in range(self.n)])
 
     def residuals_modp(self, p, root, X):
-        """Residuals A·X mod p, contracted one site at a time, rows unbuilt.
+        """Residuals A·X mod p of the full Fix rows, rows unbuilt.
 
-        X has shape (ncols, nvec), entries in [0, p).  Row (I, a, b) is
-        sum_J (Q_{i_1 j_1} ... Q_{i_k j_k})_{ab} X[J] - den^k X[I] delta_ab
-        for Q = den * P mod p.  Site 1 gives W[i_1, a, c, J', v] =
-        sum_j Q[i_1, j, a, c] X[(j, J'), v]; each later site t contracts
-        j_t and the bond c against Q[i_t, j_t, c, b], so no array exceeds
-        n^k d^2 nvec entries.  A site adds n products of at most (p-1)^2
-        per bond value, `group` bond values at once, to the reduced sum of
-        the groups before: below 2^53, exact in float64.  The engine's
-        primes have p^2 < 2^53 / (n^k + 1), so n (p-1)^2 + p <= n^k p^2 <
-        2^53 and group >= 1.
+        X has shape (ncols, nvec), entries in [0, p).  One block over all
+        i_1 (_blocks), for Q = den * P mod p and corr = den^k.
         """
-        n, d = self.n, self.d
-        pm = self.magic.modp(p, root).astype(np.float64)
-        X = np.asarray(X, dtype=np.float64)
-        group = ((1 << 53) - p) // (n * (p - 1) ** 2)
-        W = np.mod(np.tensordot(pm, X.reshape(n, -1), ([1], [0])), p)
-        for _ in range(self.k - 1):
-            W = W.reshape(W.shape[:3] + (n, -1))
-            acc = 0
-            for c in range(0, d, group):
-                bond = slice(c, c + group)
-                acc = np.mod(acc + np.tensordot(W[:, :, bond], pm[:, :, bond],
-                                                ([2, 3], [2, 1])), p)
-            # acc[I, a, rest, i_t, b] -> W[(I, i_t), a, b, rest]
-            W = acc.transpose(0, 3, 1, 4, 2).reshape(-1, d, d, acc.shape[2])
-        diag = np.arange(d)
-        W[:, diag, diag] -= pow(self.magic.den, self.k, p) * X[:, None]
-        yield np.mod(W, p).reshape(-1, X.shape[1])
+        return self._blocks(self.magic.modp(p, root).astype(np.float64),
+                            np.asarray(X, dtype=np.float64),
+                            pow(self.magic.den, self.k, p), p, [slice(None)])
 
 
 class _HomSystem:
@@ -669,7 +658,7 @@ class _HomSystem:
         # n^2 C_jc against the defining divisors n^(k+1), n^(l+1)
         hm = self.h.entries
         X = np.eye(self.ncols, dtype=np.complex128)
-        for block in self._blocks(g_tensor(self.h).values, hm, hm.conj(), X,
+        for block in self._blocks(g_tensor(self.h), hm, hm.conj(), X,
                                   self.n ** (1 - self.k),
                                   self.n ** (1 - self.l), None):
             yield from np.split(block, self.n)

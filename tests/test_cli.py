@@ -88,6 +88,8 @@ def test_exit_code_matrix(tmp_path):
         (["table", "--nmax", "-1", "--lmax", "3"], 2),
         (["table", "--nmax", "3", "--lmax", "-1"], 2),
         (["table", "--nmax", "0", "--lmax", "3"], 2),
+        (["table", "--nmax", "1", "--lmax", "3"], 2),
+        (["table", "--nmax", "3", "--lmax", "1"], 2),
     ]
     for argv, expected in cases:
         proc = run_cli(*argv)

@@ -433,6 +433,12 @@ def test_obstruction_table_shape():
     assert grid[1][0].outcome == "obstructed"
 
 
+@pytest.mark.parametrize("n_max,l_max", [(1, 3), (3, 1), (0, 0)])
+def test_obstruction_table_needs_orders_and_levels_from_two(n_max, l_max):
+    with pytest.raises(ValueError):
+        obstruction_table(n_max, l_max)
+
+
 def on_circle(a):
     """The unimodular value with real part a in (-1, 1) and Im > 0."""
     return complex(a, math.sqrt(1 - a * a))

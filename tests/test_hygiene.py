@@ -3,12 +3,14 @@ function keeps a nested helper that it never uses, every function the
 package defines is referenced somewhere in the project, no module calls
 the numpy set routines whose first call imports numpy.ma, `hadamard`
 compares floats through tolerance keys, never by rounding, no system of
-`quantum` rebuilds its rows to verify, the Hom system has one
+`quantum` rebuilds its rows to verify, each system of `quantum` has one
 contraction for its rows and its residuals, `_exact` has one prime
 loop, and one prime pool and one zero test serve every exact check."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import qperm
 
@@ -82,17 +84,29 @@ def _class_methods(tree, name):
     return {node.name: node for node in cls.body if isinstance(node, FUNCTION)}
 
 
-def test_hom_system_has_one_contraction():
-    """_HomSystem's rows are its residual blocks at X = I: its streams and
-    its residuals all call _blocks, and no _chunks or GTensor.modp is left."""
+@pytest.mark.parametrize("cls,calls", [
+    ("_HomSystem", {"chunks_modp": ["_blocks"], "chunks_complex": ["_blocks"],
+                    "residuals_modp": ["_blocks"]}),
+    ("_FixSystem", {"chunks_modp": ["_blocks", "_trace_chunks"],
+                    "chunks_complex": ["_blocks"],
+                    "residuals_modp": ["_blocks"]}),
+], ids=["_HomSystem", "_FixSystem"])
+def test_system_has_one_contraction(cls, calls):
+    """A system's rows are its residual blocks at X = I: its streams and
+    its residuals call _blocks (the Fix stream also _trace_chunks for exact
+    magic inputs), no _chunks is left, and quantum defines no GTensor
+    class and no g_power."""
     path = PACKAGE / "quantum.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    methods = _class_methods(tree, "_HomSystem")
+    methods = _class_methods(tree, cls)
     assert "_chunks" not in methods
-    for name in ("chunks_modp", "chunks_complex", "residuals_modp"):
-        assert any(isinstance(sub, ast.Attribute) and sub.attr == "_blocks"
-                   for sub in ast.walk(methods[name])), name
-    assert "modp" not in _class_methods(tree, "GTensor")
+    for name, callees in calls.items():
+        for callee in callees:
+            assert any(isinstance(sub, ast.Attribute) and sub.attr == callee
+                       for sub in ast.walk(methods[name])), (name, callee)
+    assert not {node.name for node in tree.body
+                if isinstance(node, (ast.ClassDef, *FUNCTION))} & {
+        "GTensor", "g_power"}
 
 
 def _calls(node, name):

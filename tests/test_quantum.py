@@ -15,7 +15,7 @@ from qperm._exact import (
     prime_pool,
     zero_test_primes,
 )
-from qperm.errors import BudgetExceeded, NotHadamard
+from qperm.errors import BudgetExceeded, MalformedMatrix, NotHadamard
 from qperm.hadamard import (
     Hadamard,
     f4q,
@@ -27,13 +27,13 @@ from qperm.hadamard import (
     tao,
     tensor,
 )
+from qperm.models import pauli_magic, su2_sample
 from qperm.quantum import (
     MagicUnitary,
     _FixSystem,
     _HomSystem,
     check_magic,
     fix_dim_direct,
-    g_power,
     g_tensor,
     hom_dim_via_g,
     image_commutative,
@@ -141,27 +141,35 @@ def test_fourier_g_tensor_closed_form(n):
             for j in range(n):
                 for b in range(n):
                     expect = n if (i + b) % n == (j + a) % n else 0
-                    assert gt.values[i, a, j, b] == pytest.approx(expect)
+                    assert gt[i, a, j, b] == pytest.approx(expect)
 
 
 def test_g_power_matches_dense_chain():
+    """The chain of k steps with unit start and end factors, applied to
+    the identity, is the dense product of consecutive-pair G factors."""
     h = tao()
     gt = g_tensor(h)
     n = h.n
-    g2 = g_power(gt, 2)
+    ones = np.ones((n, n), dtype=np.complex128)
+
+    def chain(k):
+        eye = np.eye(n ** k, dtype=np.complex128)
+        return quantum._chain_apply(gt, k, ones, ones[None], None, eye)[0]
+
+    g2 = chain(2)
     for i1 in range(n):
         for i2 in range(n):
             for j1 in range(n):
                 for j2 in range(n):
                     assert g2[i1 * n + i2, j1 * n + j2] == pytest.approx(
-                        gt.values[i2, i1, j2, j1])
-    g3 = g_power(gt, 3)
+                        gt[i2, i1, j2, j1])
+    g3 = chain(3)
     idx = (1, 0, 2)
     jdx = (2, 2, 1)
     row = idx[0] * n * n + idx[1] * n + idx[2]
     col = jdx[0] * n * n + jdx[1] * n + jdx[2]
-    expect = gt.values[idx[1], idx[0], jdx[1], jdx[0]] * \
-        gt.values[idx[2], idx[1], jdx[2], jdx[1]]
+    expect = gt[idx[1], idx[0], jdx[1], jdx[0]] * \
+        gt[idx[2], idx[1], jdx[2], jdx[1]]
     assert g3[row, col] == pytest.approx(expect)
 
 
@@ -483,21 +491,25 @@ def _full_fix_modp(u, k, p, root):
 
     Row (I, a, b) is (Q_{i_1 j_1} ... Q_{i_k j_k})_{ab} - den^k at J = I
     and a = b, for Q = den * P mod p, from the chain S of the blocks.
+    With p None they are the complex rows of P, with 1 at J = I.
     """
     n, d = u.n, u.dim
-    q = u.modp(p, root)
+    q, corr = (u.blocks, 1) if p is None else (u.modp(p, root),
+                                               pow(u.den, k, p))
     nsuf = n ** (k - 1)
     suf = np.arange(nsuf)
     out = []
     for i1 in range(n):
         S = q[i1].transpose(1, 0, 2)[None, ...]  # (I', a, J, c)
         for _ in range(1, k):
-            S = np.einsum("IaJc,ijcb->IiaJjb", S, q) % p
+            S = np.einsum("IaJc,ijcb->IiaJjb", S, q)
+            if p is not None:
+                S %= p
             S = S.reshape(S.shape[0] * n, d, S.shape[3] * n, d)
         V = np.ascontiguousarray(S.transpose(0, 1, 3, 2))
         for a in range(d):
-            V[suf, a, a, i1 * nsuf + suf] -= pow(u.den, k, p)
-        out.append(V % p)
+            V[suf, a, a, i1 * nsuf + suf] -= corr
+        out.append(V if p is None else V % p)
     return np.concatenate(out)
 
 
@@ -527,6 +539,38 @@ def test_fix_residuals_equal_built_chunks(u, k):
             assert (stream == traced).all(), root
         else:
             assert (stream == built).all(), root
+
+
+FIX_FLOAT_MAGICS = [
+    ("fourier(4)", magic_from_hadamard(Hadamard(entries=fourier(4).entries))),
+    ("tao", magic_from_hadamard(Hadamard(entries=tao().entries))),
+    ("pauli", pauli_magic(su2_sample(0))),
+]
+
+
+@pytest.mark.parametrize(
+    "u,k", [(u, k) for _, u in FIX_FLOAT_MAGICS for k in (1, 2, 3)],
+    ids=[f"{name}-{k}" for name, _ in FIX_FLOAT_MAGICS for k in (1, 2, 3)])
+def test_fix_float_rows_equal_built_chunks(u, k):
+    """The float stream has one chunk of n^(k-1) d^2 rows per i_1, and
+    the chunks stacked are the full complex Fix rows."""
+    system = _FixSystem(u, k)
+    assert system.coeff_l1_bound is None
+    chunks = list(system.chunks_complex())
+    shape = (u.n ** (k - 1) * u.dim ** 2, system.ncols)
+    assert [c.shape for c in chunks] == [shape] * u.n
+    full = _full_fix_modp(u, k, None, None).reshape(-1, system.ncols)
+    assert np.abs(np.vstack(chunks) - full).max() <= 1e-12
+
+
+def test_magic_unitary_rejects_a_zero_denominator():
+    """den = 0 is refused; a negative den is a valid scale of the grid."""
+    u = permutation_magic([1, 0, 2])
+    with pytest.raises(MalformedMatrix):
+        MagicUnitary(u.blocks, level=1, coeffs=0 * u.coeffs, den=0)
+    neg = MagicUnitary(u.blocks, level=1, coeffs=-u.coeffs, den=-1)
+    assert check_magic(neg).ok
+    assert fix_dim_direct(neg, 1) == 2
 
 
 def _doubled(u):
@@ -678,7 +722,7 @@ def test_hom_stream_keeps_singular_values(h, top):
             system = _HomSystem(h, k, l)
             got = np.vstack(list(system.chunks_complex()))
             want = np.vstack(list(_defining_chunks(
-                g_tensor(h).values, n, k, l, n ** (k + 1),
+                g_tensor(h), n, k, l, n ** (k + 1),
                 n ** (l + 1))))
             assert got.shape == (n * n * n ** (k + l), system.ncols)
             sv_got = np.linalg.svd(got, compute_uv=False)
