@@ -32,7 +32,10 @@ w p^2 < 2^53, largest first, so that sums of w residue products stay
 exact.  `zero_test_primes(l, w, B)` takes its leading primes until their
 product exceeds B, each with its embedding roots.  Verification below,
 the prime loop, and the magic-unitary checks of `quantum` read only these
-two.
+two.  `reduce_mod(a, p)` is the one float64 reduction: every float64
+sum of residue products that `ModRREF`, `_InverseSystem` and the Fix
+contraction of `quantum` form is brought back into [0, p) by it, exact
+for |a| <= 2^53 - 2p (int64 sums keep `%`).
 
 A system A is never held whole.  It exposes `ncols`, `level`,
 `coeff_l1_bound` and two streams, both evaluated modulo a prime
@@ -185,6 +188,29 @@ def prime_pool(level, width):
         p -= level
 
 
+def reduce_mod(a, p):
+    """Reduce a float64 array of integers into [0, p), in place; returns a.
+
+    Needs |a| <= 2^53 - 2p for every entry.  Then, with u = 2^-53, the
+    product fl(a * fl(1/p)) = (a/p)(1 + e), |e| <= 2u + u^2, lies within
+    |a| 2^-52 (1 + 2^-54) / p < 2/p <= 1 of a/p, so q = its floor is
+    within one of floor(a/p).  Hence |q p| <= |a| + 2p <= 2^53, so q p is
+    exact, and a - q p, an integer in [-p, 2p), is exact too.  One
+    conditional add of p and one conditional subtract of p land it in
+    [0, p).  This is the float-modular reduction of FFLAS/FFPACK
+    (Dumas-Giorgi-Pernet, ACM TOMS 2008), a floating-point Barrett
+    reduction, several times faster than float64 `%` on large blocks.
+    """
+    q = np.multiply(a, 1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    a -= q
+    mask = np.less(a, 0)
+    np.add(a, p, out=a, where=mask)
+    np.subtract(a, p, out=a, where=np.greater_equal(a, p, out=mask))
+    return a
+
+
 def unity_root_mod(p, level):
     """An element of multiplicative order exactly `level` modulo prime p."""
     if level == 1:
@@ -273,7 +299,17 @@ def solve_mod_vandermonde(points, rhs, p):
 
 
 class ModRREF:
-    """Streaming RREF modulo a prime, float64-backed (exact for p^2*n < 2^53)."""
+    """Streaming RREF modulo a prime, float64-backed (exact for p^2*n < 2^53).
+
+    Every reduction is reduce_mod of a = x - sum of products y z of
+    residues, x, y, z in [0, p), summed over basis rows of distinct leads.
+    At a column that is one of those leads only its own row is nonzero
+    there (it holds 1), and at any other column at most ncols - 1 rows are
+    summed, so |a| <= rank (p-1)^2 + p with rank <= ncols - 1.  Then
+    |a| + 2p <= ncols p^2 - p^2 - (ncols - 1)(2p - 1) + 3p <= ncols p^2
+    < 2^53 for p >= 3, ncols = 1 included (at p = 2, |a| <= ncols + 1),
+    which is reduce_mod's precondition.
+    """
 
     def __init__(self, ncols, p, target_rank=None):
         self.ncols = ncols
@@ -295,7 +331,7 @@ class ModRREF:
         block = np.asarray(block, dtype=np.float64)
         while block.shape[0]:
             if self.rank:
-                block = np.mod(block - block[:, self.piv] @ self.R, p)
+                block = reduce_mod(block - block[:, self.piv] @ self.R, p)
             nz = block.any(axis=1)
             block = block[nz]
             if not block.shape[0]:
@@ -310,7 +346,7 @@ class ModRREF:
                 [pow(int(newrows[i, newleads[i]]), p - 2, p)
                  for i in range(len(take))]
             )
-            newrows = np.mod(newrows * inv[:, None], p)
+            newrows = reduce_mod(newrows * inv[:, None], p)
             # clean each new row at the leads of the other new rows; rows are
             # zero left of their own lead, so descending lead order suffices
             desc = np.argsort(-newleads)
@@ -321,7 +357,7 @@ class ModRREF:
                 if done_rows:
                     coefs = row[done_leads]
                     if coefs.any():
-                        row = np.mod(row - coefs @ np.array(done_rows), p)
+                        row = reduce_mod(row - coefs @ np.array(done_rows), p)
                 done_rows.append(row)
                 done_leads.append(newleads[idx])
             cleaned = np.array(done_rows[::-1])
@@ -330,7 +366,7 @@ class ModRREF:
             if self.rank:
                 coefs = self.R[:, cleaned_leads]
                 if coefs.any():
-                    self.R = np.mod(self.R - coefs @ cleaned, p)
+                    self.R = reduce_mod(self.R - coefs @ cleaned, p)
             self.R = np.vstack([self.R, cleaned]) if self.rank else cleaned
             self.piv = self.piv + cleaned_leads
             if self.target is not None and self.rank >= self.target:
@@ -548,7 +584,8 @@ class _InverseSystem:
     """[G | I] for a square integer matrix G: level 1, nullspace (x ; -G·x).
 
     p lies below the float64 bound for the 2m columns, so the float64
-    product G·X_top + X_bottom of residues is exact.
+    product G·X_top + X_bottom of residues, below m (p-1)^2 + p, is exact
+    and within reduce_mod's bound.
     """
 
     level = 1
@@ -558,11 +595,14 @@ class _InverseSystem:
         self.ncols = 2 * self.m
         self.coeff_l1_bound = max(int(np.abs(self.g).max()), 1)
 
+    def _residues(self, p):
+        return (self.g % p).astype(np.float64)
+
     def chunks_modp(self, p, root):
-        yield np.hstack([(self.g % p).astype(np.float64), np.eye(self.m)])
+        yield np.hstack([self._residues(p), np.eye(self.m)])
 
     def residuals_modp(self, p, root, X):
-        yield ((self.g % p).astype(np.float64) @ X[:self.m] + X[self.m:]) % p
+        yield reduce_mod(self._residues(p) @ X[:self.m] + X[self.m:], p)
 
 
 def certified_inverse(rows):

@@ -293,10 +293,14 @@ def free_hg_oracle(n, m, N, k):
 
     The moment of sum_{i<=n, j<=m} u_ij under the free Haar state equals
     sum over pairs of noncrossing partitions of n^|pi| * m^|sigma| *
-    W_kN(pi, sigma), returned as an exact rational.
+    W_kN(pi, sigma), returned as an exact rational.  The block is a corner
+    of the N x N matrix, so ValueError unless 0 <= n, m <= N; an empty
+    block (n or m = 0) has moment 0 for k >= 1.
     """
     if N < 4:
         raise MalformedMatrix("oracle needs N >= 4")
+    if not (0 <= n <= N and 0 <= m <= N):
+        raise ValueError(f"block sizes n={n}, m={m} must lie in [0, N={N}]")
     if k == 0:
         return Fraction(1)
     parts = enum_partitions(k, PartitionFamily.NONCROSSING)

@@ -23,6 +23,7 @@ from ._exact import (
     _root_powers,
     certified_nullity,
     float_nullity,
+    reduce_mod,
     zero_test_primes,
 )
 from .errors import (
@@ -465,35 +466,39 @@ class _FixSystem:
         j_t and the bond c against Q[i_t, j_t, c, b].  Between sites W is
         kept as W[c, j_t, rest, I, a], so tensordot reads it without a copy
         and a site of one bond group holds at most two arrays the size of
-        the block it yields.  Modulo p (X in [0, p)) a site adds n products of at most
-        (p-1)^2 per bond value, `group` bond values at once, to the reduced
-        sum of the groups before: below 2^53, exact in float64.  The
-        engine's primes have p^2 < 2^53 / (n^k + 1), so
-        n (p-1)^2 + p <= n^k p^2 < 2^53 and group >= 1.  With p None the
-        arithmetic is complex and the bond is one group.  The block of a
-        slice holds its rows (I, a, b) in order.
+        the block it yields.  Modulo p (X in [0, p)) every sum is brought
+        back into [0, p) by reduce_mod, whose bound is |a| <= 2^53 - 2p.
+        Site 1 sums n products of at most (p-1)^2.  A later site adds n
+        such products per bond value, `group` bond values at once, to the
+        reduced sum of the groups before: at most
+        group n (p-1)^2 + p - 1 <= 2^53 - 2p - 1.  After the corr
+        subtraction W lies in (-p^2, p).  The engine's primes have
+        (n^k + 1) p^2 <= 2^53 and p >= 5, so n (p-1)^2 + 3p <= (n + 1) p^2
+        <= 2^53: group >= 1 and site 1 is in bound, n = 1 included.  With
+        p None the arithmetic is complex and the bond is one group.  The
+        block of a slice holds its rows (I, a, b) in order.
         """
         n, d, k = self.n, self.d, self.k
         nvec = X.shape[1]
-        group = d if p is None else ((1 << 53) - p) // (n * (p - 1) ** 2)
+        group = d if p is None else ((1 << 53) - 3 * p) // (n * (p - 1) ** 2)
         X = X.reshape(n, -1)
         diag = np.arange(d)
         axes = ([2, 1], [0, 1])
         for first in firsts:
             W = np.tensordot(pm[first], X, ([1], [0]))  # W[I, a, c, J', v]
             if p is not None:
-                W %= p
+                reduce_mod(W, p)
             if k > 1:
                 W = np.ascontiguousarray(W.transpose(2, 3, 0, 1))
             for t in range(1, k):
                 W = W.reshape((d, n, -1) + W.shape[2:])
                 acc = np.tensordot(pm[:, :, :group], W[:group], axes)
                 for c in range(group, d, group):  # only modulo p
-                    acc %= p
+                    reduce_mod(acc, p)
                     acc += np.tensordot(pm[:, :, c:c + group],
                                         W[c:c + group], axes)
                 if p is not None:
-                    acc %= p
+                    reduce_mod(acc, p)
                 del W
                 # acc[i_t, b, rest, I, a] -> W[b, rest, (I, i_t), a], and
                 # after the last site -> W[(I, i_t), a, b, v]
@@ -505,7 +510,7 @@ class _FixSystem:
                               else (d, W.shape[1], -1, d))
             W[:, diag, diag] -= corr * X[first].reshape(-1, 1, nvec)
             if p is not None:
-                W %= p
+                reduce_mod(W, p)
             yield W.reshape(-1, nvec)
 
     def chunks_modp(self, p, root):

@@ -62,6 +62,9 @@ def test_exit_code_matrix(tmp_path):
         (["verify", "--in", str(trunc)], 1),
         (["catalog", "nosuch"], 1),
         (["free-hg", "--n", "2", "--k", "1"], 1),
+        (["free-hg", "--n", "3", "--k", "3", "--m", "-1"], 1),
+        (["free-hg", "--n", "10", "--k", "2", "--N", "9"], 1),
+        (["free-hg", "--n", "3", "--k", "3", "--m", "0"], 0),
         (["verify"], 2),
         (["verify", "--catalog", "fourier:3", "--in", str(bad)], 2),
         (["verify", "--catalog", "fourier:x"], 2),

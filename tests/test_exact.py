@@ -14,10 +14,13 @@ inverse of an integer matrix is read from the certified nullspace of
 [G | I]: it must skip a prime that divides the determinant and must not
 accept a reconstruction that fails verification; Fraction Gauss-Jordan is
 its oracle.  The streaming RREF modulo a prime must give the pivots and
-rows of Python-integer Gauss-Jordan, however its rows are chunked.
+rows of Python-integer Gauss-Jordan, however its rows are chunked and
+however close its sums of residue products come to 2^53; the float64
+reduction under it must agree with Python-integer % up to its bound.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from qperm._exact import (
     certified_nullity,
     fraction_matrix_inverse,
     prime_pool,
+    reduce_mod,
     unity_root_mod,
     zero_test_primes,
 )
@@ -314,3 +318,66 @@ def test_mod_rref_matches_integer_gauss_jordan(p):
             # its rows are reduced and span part of the row space
             assert _rref_mod(rr.R.tolist(), ncols, p)[0] == rr.piv
             assert _rref_mod(ref + rr.R.tolist(), ncols, p)[0] == piv
+
+
+@pytest.mark.parametrize("level", [1, 3, 4, 5, 6])
+def test_reduce_mod_matches_python_mod(level):
+    """Boundary grid up to the precondition |a| <= 2^53 - 2p, random values
+    inside it and a grid around multiples of p, at the leading pool primes
+    of several widths: equal to Python-integer %, in place, float64."""
+    rng = np.random.default_rng(level)
+    offsets = np.arange(-3, 4)
+    for width in (1, 2, 7, 64, 729, 4096, 46656):
+        for p in islice(prime_pool(level, width), 3):
+            top = (1 << 53) - 2 * p
+            edge = top - np.arange(3000)
+            mults = np.concatenate([np.arange(-3, 4), [top // p, -(top // p)],
+                                    rng.integers(-(top // p), top // p, 50)])
+            near = (mults[:, None] * p + offsets).ravel()
+            near = near[np.abs(near) <= top]
+            ints = np.concatenate([edge, -edge, near,
+                                   rng.integers(-top, top + 1, 2000)])
+            a = ints.astype(np.float64)
+            assert (a.astype(np.int64) == ints).all()  # exact in float64
+            out = reduce_mod(a, p)
+            assert out is a and out.dtype == np.float64
+            assert out.astype(np.int64).tolist() == [
+                int(x) % p for x in ints.tolist()], (level, width, p)
+
+
+@pytest.mark.parametrize("width", [64, 256])
+@pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+def test_mod_rref_near_the_float64_bound(width, deficient):
+    """Dense streams at the first pool prime of their width, with residue
+    sums up to about rank (p-1)^2 ~ 2^53 (width - 2) / (width + 1), give
+    the pivots and rows of Python-integer Gauss-Jordan."""
+    p = next(prime_pool(1, width))
+    rng = np.random.default_rng(width + deficient)
+    rank = width - 2 if deficient else width - 1
+    # a reduced basis [I | F] and extra rows whose entries at the pivot
+    # columns, like F, lie just below p, so the first reduction of each
+    # extra row sums rank products near (p-1)^2
+    basis = np.hstack([np.eye(rank, dtype=np.int64),
+                       rng.integers(p - 50, p, (rank, width - rank))])
+    coefs = rng.integers(p - 50, p, (24, rank))
+    if deficient:
+        # combinations of the basis: rank stays, every extra row reduces to 0
+        extra = np.array([[sum(int(c) * int(b) for c, b in zip(row, col)) % p
+                           for col in basis.T] for row in coefs])
+    else:
+        # near p - 1 everywhere: outside the row space, full rank is reached
+        extra = np.hstack([coefs, rng.integers(p - 50, p, (24, width - rank))])
+    peak = max(sum(int(c) * int(f) for c, f in zip(row, col))
+               for row in coefs[:4] for col in basis[:, rank:].T)
+    assert peak > 0.99 * rank * (p - 1) ** 2
+    assert rank * (p - 1) ** 2 > 0.98 * 2 ** 53 * (width - 2) / (width + 1)
+    rows = np.vstack([basis, extra])
+    piv, ref = _rref_mod(rows.tolist(), width, p)
+    assert len(piv) == (rank if deficient else width)
+    for chunks in ([rows], [basis, extra[:10], extra[10:]]):
+        rr = ModRREF(width, p)
+        for chunk in chunks:
+            rr.process(chunk)
+        rr.finalize()
+        assert rr.piv == piv
+        assert rr.R.astype(np.int64).tolist() == ref

@@ -5,7 +5,8 @@ the numpy set routines whose first call imports numpy.ma, `hadamard`
 compares floats through tolerance keys, never by rounding, no system of
 `quantum` rebuilds its rows to verify, each system of `quantum` has one
 contraction for its rows and its residuals, `_exact` has one prime
-loop, and one prime pool and one zero test serve every exact check."""
+loop, one prime pool and one zero test serve every exact check, and one
+float64 reduction, `reduce_mod`, serves the float64 residue sums."""
 
 import ast
 from pathlib import Path
@@ -107,6 +108,28 @@ def test_system_has_one_contraction(cls, calls):
     assert not {node.name for node in tree.body
                 if isinstance(node, (ast.ClassDef, *FUNCTION))} & {
         "GTensor", "g_power"}
+
+
+@pytest.mark.parametrize("module,cls,method", [
+    ("_exact.py", "ModRREF", "process"),
+    ("_exact.py", "_InverseSystem", "residuals_modp"),
+    ("quantum.py", "_FixSystem", "_blocks"),
+])
+def test_float_reductions_use_reduce_mod(module, cls, method):
+    """The float64 sums of residue products are reduced by
+    _exact.reduce_mod, never by np.mod or the % operator, which costs
+    several times as much on float64 blocks."""
+    path = PACKAGE / module
+    node = _class_methods(ast.parse(path.read_text(), filename=str(path)),
+                          cls)[method]
+    offenders = [
+        sub.lineno for sub in ast.walk(node)
+        if isinstance(sub, (ast.BinOp, ast.AugAssign))
+        and isinstance(sub.op, ast.Mod)
+        or isinstance(sub, ast.Attribute) and sub.attr in ("mod", "fmod",
+                                                           "remainder")]
+    assert not offenders, (module, method, offenders)
+    assert _calls(node, "reduce_mod")
 
 
 def _calls(node, name):

@@ -168,6 +168,24 @@ def test_free_hg_oracle_unit_cases():
     assert free_hg_oracle(2, 3, 7, 1) == Fraction(6, 7)
 
 
+@pytest.mark.parametrize("n,m,N,k", [
+    (3, -1, 9, 3), (10, 10, 9, 2), (-2, 3, 9, 1), (3, 10, 9, 1),
+    (10, 3, 9, 0)])
+def test_free_hg_oracle_rejects_blocks_outside_the_matrix(n, m, N, k):
+    with pytest.raises(ValueError):
+        free_hg_oracle(n, m, N, k)
+
+
+def test_free_hg_oracle_empty_and_full_blocks():
+    # an empty block sums nothing; each row of a magic unitary sums to 1,
+    # so the full N x N block sums to N
+    for k in (1, 2, 3):
+        assert free_hg_oracle(0, 3, 9, k) == 0
+        assert free_hg_oracle(3, 0, 9, k) == 0
+        assert free_hg_oracle(9, 9, 9, k) == 9 ** k
+    assert free_hg_oracle(0, 0, 9, 0) == 1
+
+
 def test_free_hg_formula_first_moment_is_one():
     for n in (3, 4, 5, 7):
         assert free_hg_formula(n, 1) == pytest.approx(1.0, abs=1e-12)
