@@ -1,13 +1,14 @@
 """Complex Hadamard matrices, Butson classes and quantum permutation invariants.
 
 The package splits into five layers: exact arithmetic in Z[zeta_l], held
-as integer group-algebra coefficients with one reduction modulo the
-cyclotomic polynomial (:mod:`qperm.scalars`), partition combinatorics and
-Weingarten calculus (:mod:`qperm.partitions`), Hadamard matrix
-construction, equivalence and Butson obstructions (:mod:`qperm.hadamard`),
-magic unitaries and Hom-space invariants (:mod:`qperm.quantum`), and
-concrete matrix models (:mod:`qperm.models`).  The :mod:`qperm.cli`
-module exposes everything as ``qperm`` subcommands.
+as integer group-algebra coefficients whose every zero test, in
+:mod:`qperm.hadamard` as elsewhere, is evaluation at the embeddings
+zeta -> r modulo primes (:mod:`qperm.scalars`, :mod:`qperm._exact`),
+partition combinatorics and Weingarten calculus (:mod:`qperm.partitions`),
+Hadamard matrix construction, equivalence and Butson obstructions
+(:mod:`qperm.hadamard`), magic unitaries and Hom-space invariants
+(:mod:`qperm.quantum`), and concrete matrix models (:mod:`qperm.models`).
+The :mod:`qperm.cli` module exposes everything as ``qperm`` subcommands.
 """
 
 __version__ = "0.1.0"

@@ -26,13 +26,15 @@ reductions modulo the phi(l) primes above p, whose product is pZ[zeta_l].
 If r vanishes at all of them for every prime of the set, then P divides
 r, so r / P lies in Z[zeta_l] and every conjugate has modulus at most
 B / P < 1.  The norm N(r / P), an integer, then has modulus below 1,
-hence is 0, and r = 0.  No reduction modulo Phi_l is needed.
+hence is 0, and r = 0.  No reduction modulo Phi_l is needed, and the
+package has none: this is its one exact zero test.
 `prime_pool(l, w)` is the one pool of primes: p = 1 (mod l) with
 w p^2 < 2^53, largest first, so that sums of w residue products stay
 exact.  `zero_test_primes(l, w, B)` takes its leading primes until their
 product exceeds B, each with its embedding roots.  Verification below,
-the prime loop, and the magic-unitary checks of `quantum` read only these
-two.  `reduce_mod(a, p)` is the one float64 reduction: every float64
+the prime loop, the magic-unitary checks of `quantum` and the
+orthogonality and zero-sum checks of `hadamard` read only these two.
+`reduce_mod(a, p)` is the one float64 reduction: every float64
 sum of residue products that `ModRREF`, `_InverseSystem` and the Fix
 contraction of `quantum` form is brought back into [0, p) by it, exact
 for |a| <= 2^53 - 2p (int64 sums keep `%`).
@@ -64,15 +66,15 @@ max_j ||x_j||_1 =: B_1, and the zero test with B = B_1 proves A·x = 0.
 
 The prime loop.  `certified_nullity` walks prime_pool(l, ncols),
 eliminating at every embedding of each prime and skipping a prime whose
-embeddings disagree on (rank, pivot columns).  A reduction modulo a prime can only lose rank or push pivots
-to later columns, so the best key seen so far (higher rank, then the
-lexicographically first pivots) is kept with the primes that match it;
-after each such prime the basis is lifted from all of them and verified,
-until the bounds meet.  That ends: only finitely many primes move a pivot
-or split the embeddings, the others reduce the RREF over Q(zeta_l), and
-once their product passes the reconstruction bound the lift is exact and
-verifies for any system whose residuals agree with its rows (the tests
-pin that agreement).
+embeddings disagree on (rank, pivot columns).  A reduction modulo a
+prime can only lose rank or push pivots to later columns, so the best
+key seen so far (higher rank, then the lexicographically first pivots)
+is kept with the primes that match it; after each such prime the basis
+is lifted from all of them and verified, until the bounds meet.  That
+ends: only finitely many primes move a pivot or split the embeddings,
+the others reduce the RREF over Q(zeta_l), and once their product passes
+the reconstruction bound the lift is exact and verifies for any system
+whose residuals agree with its rows (the tests pin that agreement).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import is_prime
+from ._exact import _root_powers, is_prime, zero_test_primes
 from .errors import (
     BudgetExceeded,
     MalformedMatrix,
@@ -33,10 +33,25 @@ from .scalars import (
     _tolerance_keys,
     factorize,
     hermitian_norm_solvable,
-    root_reduction_table,
 )
 
 LEVEL_INFINITE = math.inf
+
+
+@functools.lru_cache(maxsize=None)
+def _root_images(level, n):
+    """The zero-test prime p for sums of n level-th roots, and zeta^e mod p.
+
+    Row s holds zeta^e, e < level, at the s-th embedding of the one prime
+    of `_exact.zero_test_primes(level, n, n)`.  A sum of at most n roots
+    is bounded by n at every embedding, so it is zero exactly when it
+    vanishes mod p in every row; n p^2 < 2^53 keeps int64 sums of n
+    residue products exact.  Cached per (level, n), read-only.
+    """
+    [(p, roots)] = zero_test_primes(level, n, n)
+    pows = np.array([_root_powers(r, p, level) for r in roots])
+    pows.flags.writeable = False
+    return p, pows
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +126,21 @@ class Hadamard:
         return self.failing_pair(tol) is None
 
     def failing_pair(self, tol=DEFAULT_TOL):
-        """First non-orthogonal row pair, or None."""
+        """First non-orthogonal row pair (i < j), or None.
+
+        Exact input forms H·H* modulo the prime of `_root_images` at each
+        embedding, from the images of E and -E.
+        """
         if self.is_exact:
-            table = root_reduction_table(self.level)
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    d = (self.exponents[i] - self.exponents[j]) % self.level
-                    if table[d].sum(axis=0).any():
-                        return (i, j)
-            return None
-        gram = self.entries @ self.entries.conj().T
-        np.fill_diagonal(gram, 0)
-        bad = np.argwhere(np.abs(gram) > self.n * tol)
-        return tuple(int(x) for x in bad[0]) if len(bad) else None
+            p, pows = _root_images(self.level, self.n)
+            e = self.exponents
+            gram = pows[:, e] @ pows[:, -e % self.level].swapaxes(1, 2)
+            bad = (gram % p).any(axis=0)
+        else:
+            gram = self.entries @ self.entries.conj().T
+            bad = np.abs(gram) > self.n * tol
+        pairs = np.argwhere(np.triu(bad, 1))
+        return tuple(int(x) for x in pairs[0]) if len(pairs) else None
 
     def __repr__(self):
         form = f"level={self.level}" if self.is_exact else "complex"
@@ -641,16 +658,17 @@ def _zero_sum_pool(n, lev):
 
     zero[e] holds when 1 + sum_j zeta^{e_j} = 0, that is when the row with
     exponents (0, e) is orthogonal to the all-ones first row.  The sums are
-    built from the rows of `root_reduction_table(lev)` with n - 1 broadcast
-    additions, the first coordinate most significant.  The pool is the
-    (m, n-1) array of the true indices of zero in lexicographic
-    (`itertools.product`) order.
+    built at every embedding from the rows of `_root_images(lev, n)` with
+    n - 1 broadcast additions, each adding a leading coordinate (the sum is
+    symmetric, so the order of the coordinates does not matter), and
+    reduced once modulo its prime.  The pool is the (m, n-1) array of the
+    true indices of zero in lexicographic (`itertools.product`) order.
     """
-    table = root_reduction_table(lev)
-    sums = table[0]
+    p, pows = _root_images(lev, n)
+    sums = pows[:, :1]
     for _ in range(n - 1):
-        sums = sums[..., None, :] + table
-    zero = ~sums.any(axis=-1)
+        sums = (pows[:, :, None] + sums[:, None]).reshape(len(pows), -1)
+    zero = ~(sums % p).any(axis=0).reshape((lev,) * (n - 1))
     return np.argwhere(zero), zero
 
 

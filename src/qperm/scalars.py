@@ -3,13 +3,12 @@
 An element of Z[zeta_l] is held as integer group-algebra coefficients
 {zeta_l^e : 0 <= e < l}: a Butson exponent e stands for zeta_l^e, so
 multiplication is index addition and conjugation is index reversal.  The
-relations among the roots enter `hadamard` in one place, the reduction
-modulo the l-th cyclotomic polynomial (`root_reduction_table`), through
-which its exact checks test for zero.  The certified nullity engine and
-the magic-unitary checks of `quantum` test instead at the embeddings
-zeta -> r modulo primes, under a norm bound (see `_exact`).  The norm-form
-solvers decide which integers are |d|^2 for d in Z[zeta_l] at the orders
-where that is classical.
+relations among the roots are never written out: every exact zero test
+of the package (the orthogonality and zero-sum checks of `hadamard`, the
+magic-unitary checks of `quantum` and the certified nullity engine)
+evaluates at the embeddings zeta -> r modulo primes, under a norm bound
+(see `_exact`).  The norm-form solvers decide which integers are |d|^2
+for d in Z[zeta_l] at the orders where that is classical.
 
 Floats are equal within a tolerance tol, different from _GAP_FACTOR * tol
 on, and RankAmbiguous in between: `float_nullity` applies this to singular
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,70 +70,6 @@ def _tolerance_keys(values, tol=DEFAULT_TOL):
     keys = np.empty(len(pts), dtype=np.int64)
     keys[order] = rank[label[np.cumsum(new) - 1]]
     return keys.reshape(z.shape)
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic polynomials and reduction
-# ---------------------------------------------------------------------------
-
-def _poly_divmod_exact(num, den):
-    """Exact division of integer polynomials (lists, low degree first).
-
-    den must be monic.  Returns (quotient, remainder); used only in contexts
-    where the remainder is known to vanish.
-    """
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * max(0, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - dd] = c
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(order):
-    """Coefficients (low degree first) of the cyclotomic polynomial Phi_order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (order - 1) + [1]  # x^order - 1
-    for d in range(1, order):
-        if order % d == 0:
-            quot, rem = _poly_divmod_exact(poly, list(cyclotomic_poly(d)))
-            assert not rem, "cyclotomic division must be exact"
-            poly = quot
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def root_reduction_table(level):
-    """Integer coefficient vectors of zeta^e mod the cyclotomic polynomial.
-
-    Row e is x^e mod Phi_level in the power basis, so a group-algebra
-    coefficient vector c (length level) reduces to c @ table, of length
-    phi(level), and vanishes there exactly when sum_e c_e zeta^e = 0.
-    Each row is the previous one shifted up a degree with its overflow
-    reduced by the monic Phi.  The table is cached per level and read-only.
-    """
-    phi = np.array(cyclotomic_poly(level), dtype=np.int64)
-    deg = len(phi) - 1
-    table = np.zeros((level, deg), dtype=np.int64)
-    row = np.zeros(deg, dtype=np.int64)
-    row[0] = 1
-    for e in range(level):
-        table[e] = row
-        top = row[-1]
-        row = np.concatenate(([0], row[:-1])) - top * phi[:-1]
-    table.flags.writeable = False
-    return table
 
 
 # ---------------------------------------------------------------------------

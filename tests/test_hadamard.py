@@ -48,7 +48,7 @@ from qperm.hadamard import (
     write_but,
     write_cmat,
 )
-from qperm.scalars import DEFAULT_TOL, _tolerance_keys, root_reduction_table
+from qperm.scalars import DEFAULT_TOL, _tolerance_keys
 
 EXACT_CATALOG = [
     fourier(2),
@@ -231,16 +231,22 @@ def test_level_six_classes_of_order_six():
         assert sum(equivalent(h, c) for c in classes) == 1, h.provenance
 
 
+# A nonzero sum of at most 8 l-th roots of unity, l <= 6, is an algebraic
+# integer of degree phi(l) <= 2 whose conjugates all have modulus at most
+# 8, so its own modulus is at least 8^(1 - phi(l)) >= 1/8: |z| < 1e-6
+# decides zero with a wide margin.
+def _is_zero(z):
+    return abs(z) < 1e-6
+
+
+def _roots(lev):
+    return np.exp(2j * np.pi * np.arange(lev) / lev)
+
+
 def _zero_sum_pool_by_loop(n, lev):
-    table = root_reduction_table(lev)
-    pool = []
-    for tup in itertools.product(range(lev), repeat=n - 1):
-        acc = table[0].copy()
-        for e in tup:
-            acc += table[e]
-        if not acc.any():
-            pool.append(list(tup))
-    return pool
+    roots = _roots(lev)
+    return [list(tup) for tup in itertools.product(range(lev), repeat=n - 1)
+            if _is_zero(1 + sum(roots[e] for e in tup))]
 
 
 def test_zero_sum_pool_matches_the_loop():
@@ -257,11 +263,61 @@ def test_zero_sum_pool_matches_the_loop():
 @pytest.mark.parametrize("n, lev", [(6, 4), (6, 6)])
 def test_orthogonal_rows_match_the_table_sums(n, lev):
     pool, zero = _zero_sum_pool(n, lev)
-    table = root_reduction_table(lev)
+    roots = _roots(lev)
     for idx in range(len(pool)):
-        sums = table[(pool[idx] - pool) % lev].sum(axis=1) + table[0]
+        sums = roots[(pool[idx] - pool) % lev].sum(axis=1) + 1
         assert np.array_equal(_orthogonal_rows(pool, zero, lev, idx),
-                              ~sums.any(axis=1)), idx
+                              _is_zero(sums)), idx
+
+
+FAILING_PAIR_LEVELS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+
+
+def _failing_pair_cases(count, seed):
+    """Seeded exponent matrices of order n <= 8, with the pair each must
+    fail at when that is known: random entries, or a moved Fourier matrix
+    as it is (None), with one entry redrawn, or with row j replaced by row
+    i < j times a root, which fails at (i, j) and nowhere else."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, lev = int(rng.integers(1, 9)), int(rng.choice(FAILING_PAIR_LEVELS))
+        kind = int(rng.integers(4)) if n > 1 and lev % n == 0 else 0
+        if kind == 0:
+            yield rng.integers(0, lev, (n, n)), lev, "any"
+            continue
+        move = random_equivalent(fourier(n).with_level(lev),
+                                 int(rng.integers(1 << 31)))
+        e, want = move.exponents.copy(), None
+        if kind == 2:
+            i, j = rng.integers(0, n, 2)
+            e[i, j] = rng.integers(0, lev)
+            want = "any"
+        elif kind == 3:
+            i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+            e[j] = e[i] + rng.integers(0, lev)
+            want = (i, j)
+        yield e, lev, want
+
+
+def test_exact_failing_pair_matches_the_float_form():
+    # A nonzero sum of at most 8 l-th roots of unity, phi(l) <= 4 here, is
+    # an algebraic integer of degree phi(l) whose conjugates all have
+    # modulus at most 8, so its modulus is at least 8^(1 - phi(l)) >= 8^-3
+    # (about 0.002), far above the float test's n tol <= 8e-9.  The named
+    # matrices are Hadamard, so there the float form sees only rounding.
+    cases = list(_failing_pair_cases(2400, seed=21))
+    cases += [(h.exponents, h.level, None)
+              for h in [fourier(n).with_level(2 * n) for n in range(1, 13)]
+              + [tao().with_level(6), haagerup(Fraction(1, 4))]]
+    seen = Counter()
+    for e, lev, want in cases:
+        h = Hadamard(exponents=e, level=lev)
+        pair = h.failing_pair()
+        assert pair == Hadamard(entries=h.entries).failing_pair(), (e, lev)
+        assert want == "any" or pair == want, (e, lev, want)
+        seen[None if pair is None else pair[0] > 0] += 1
+    # Hadamard, failing in row 0 and failing in a later row all occur
+    assert min(seen.values()) >= 40, seen
 
 
 @pytest.mark.parametrize("n, lev, mode, nodes, configs, count", [

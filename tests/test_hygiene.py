@@ -5,8 +5,10 @@ the numpy set routines whose first call imports numpy.ma, `hadamard`
 compares floats through tolerance keys, never by rounding, no system of
 `quantum` rebuilds its rows to verify, each system of `quantum` has one
 contraction for its rows and its residuals, `_exact` has one prime
-loop, one prime pool and one zero test serve every exact check, and one
-float64 reduction, `reduce_mod`, serves the float64 residue sums."""
+loop, one prime pool and one zero test, at the embeddings modulo primes,
+serve every exact check (`hadamard` and `quantum` alike; nothing reduces
+modulo a cyclotomic polynomial), and one float64 reduction,
+`reduce_mod`, serves the float64 residue sums."""
 
 import ast
 from pathlib import Path
@@ -176,15 +178,28 @@ def _builds_a_pool(node):
 
 
 def test_one_prime_pool_and_one_zero_test():
-    """quantum takes its primes and embeddings from
-    _exact.zero_test_primes alone, and only _exact.prime_pool computes
-    which primes the pool holds, in the package and in the tests."""
-    path = PACKAGE / "quantum.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"_primes_descending", "_max_safe_prime",
-                           "leading_primes", "embedding_roots"}
+    """hadamard and quantum take their primes and embeddings from
+    _exact.zero_test_primes alone, no module defines or imports the
+    reduction modulo Phi_l that the zero test replaced, and only
+    _exact.prime_pool computes which primes the pool holds, in the package
+    and in the tests."""
+    for name in ("hadamard.py", "quantum.py"):
+        path = PACKAGE / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert "zero_test_primes" in imported, name
+        assert not imported & {"_primes_descending", "_max_safe_prime",
+                               "leading_primes", "embedding_roots"}, name
+    reduction = {"root_reduction_table", "cyclotomic_poly",
+                 "_poly_divmod_exact"}
+    named = [f"{path.name}:{node.lineno}" for path, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, FUNCTION) and node.name in reduction
+             or isinstance(node, (ast.Import, ast.ImportFrom))
+             and {alias.name for alias in node.names} & reduction]
+    assert not named, named
     offenders = []
     for top in (PACKAGE, ROOT / "tests"):
         for path in sorted(top.rglob("*.py")):

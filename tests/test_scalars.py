@@ -1,11 +1,9 @@
-"""The reduction modulo the cyclotomic polynomial and norm-equation tests."""
-
-import cmath
-import math
+"""Norm-equation, factorization and float tolerance-key tests."""
 
 import numpy as np
 import pytest
 
+from qperm._exact import embedding_roots, prime_pool
 from qperm.errors import RankAmbiguous
 from qperm.scalars import (
     DEFAULT_TOL,
@@ -15,22 +13,7 @@ from qperm.scalars import (
     factorize,
     hermitian_norm_solvable,
     hermitian_norm_witness,
-    root_reduction_table,
 )
-
-
-def test_reduction_table_preserves_value():
-    for level in list(range(1, 25)) + [105, 210]:
-        table = root_reduction_table(level)
-        units = [t for t in range(level) if math.gcd(t, level) == 1]
-        assert table.shape == (level, len(units))
-        assert table.dtype == np.int64 and not table.flags.writeable
-        for t in units:
-            z = cmath.exp(2j * math.pi * t / level)
-            powers = z ** np.arange(table.shape[1])
-            for e in range(level):
-                scale = 1 + np.abs(table[e]).sum()
-                assert abs(table[e] @ powers - z ** e) < 1e-9 * scale
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
@@ -48,9 +31,9 @@ def test_norm_inconclusive_outside_euclidean_orders():
 
 def test_factorize_and_phi():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
-    assert root_reduction_table(1).shape[1] == 1
-    widths = [root_reduction_table(k).shape[1] for k in (2, 3, 4, 6, 12)]
-    assert widths == [1, 2, 2, 2, 4]
+    widths = [len(embedding_roots(next(prime_pool(k, 1)), k))
+              for k in (1, 2, 3, 4, 6, 12)]
+    assert widths == [1, 1, 2, 2, 2, 4]
 
 
 TOL = DEFAULT_TOL
