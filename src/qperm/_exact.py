@@ -69,9 +69,9 @@ eliminating at every embedding of each prime and skipping a prime whose
 embeddings disagree on (rank, pivot columns).  A reduction modulo a
 prime can only lose rank or push pivots to later columns, so the best
 key seen so far (higher rank, then the lexicographically first pivots)
-is kept with the primes that match it; after each such prime the basis
-is lifted from all of them and verified, until the bounds meet.  That
-ends: only finitely many primes move a pivot or split the embeddings,
+is kept; each prime that matches it is folded into one CRT residue, once,
+and the basis reconstructed from it is verified, until the bounds meet.
+That ends: only finitely many primes move a pivot or split the embeddings,
 the others reduce the RREF over Q(zeta_l), and once their product passes
 the reconstruction bound the lift is exact and verifies for any system
 whose residuals agree with its rows (the tests pin that agreement).
@@ -162,7 +162,9 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    # bases 2, 3, 5, 7 decide every n below their least strong pseudoprime
+    # 3 215 031 751, so every pool prime; all twelve every n below 3.3e24
+    for a in _MR_BASES[:4] if n < 3_215_031_751 else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -219,6 +221,8 @@ def unity_root_mod(p, level):
         return 1
     if (p - 1) % level:
         raise ValueError("p must be 1 mod level")
+    if level == 2:
+        return p - 1  # the only element of order 2
     prime_divisors = factorize(level)
     for a in range(2, p):
         r = pow(a, (p - 1) // level, p)
@@ -304,10 +308,11 @@ class ModRREF:
     """Streaming RREF modulo a prime, float64-backed (exact for p^2*n < 2^53).
 
     Every reduction is reduce_mod of a = x - sum of products y z of
-    residues, x, y, z in [0, p), summed over basis rows of distinct leads.
-    At a column that is one of those leads only its own row is nonzero
-    there (it holds 1), and at any other column at most ncols - 1 rows are
-    summed, so |a| <= rank (p-1)^2 + p with rank <= ncols - 1.  Then
+    residues, x, y, z in [0, p), summed over rows of distinct leads, each
+    clear at the others' leads: the basis, the new rows below the one being
+    back-substituted, or all the new rows.  At one of those leads only one
+    product is summed, and at any other column at most ncols - 1, so
+    |a| <= (ncols - 1)(p-1)^2 + p.  Then
     |a| + 2p <= ncols p^2 - p^2 - (ncols - 1)(2p - 1) + 3p <= ncols p^2
     < 2^53 for p >= 3, ncols = 1 included (at p = 2, |a| <= ncols + 1),
     which is reduce_mod's precondition.
@@ -331,50 +336,39 @@ class ModRREF:
             return
         p = self.p
         block = np.asarray(block, dtype=np.float64)
-        while block.shape[0]:
-            if self.rank:
-                block = reduce_mod(block - block[:, self.piv] @ self.R, p)
-            nz = block.any(axis=1)
-            block = block[nz]
+        if self.rank:
+            block = reduce_mod(block - block[:, self.piv] @ self.R, p)
+        while True:
+            block = block[block.any(axis=1)]
             if not block.shape[0]:
                 return
             lead = np.argmax(block != 0, axis=1)
             order = np.argsort(lead, kind="stable")
             # the first row of each lead; np.unique would import numpy.ma
             take = order[np.flatnonzero(np.diff(lead[order], prepend=-1))]
-            newrows = block[take]
-            newleads = lead[take]
-            inv = np.array(
-                [pow(int(newrows[i, newleads[i]]), p - 2, p)
-                 for i in range(len(take))]
-            )
-            newrows = reduce_mod(newrows * inv[:, None], p)
-            # clean each new row at the leads of the other new rows; rows are
-            # zero left of their own lead, so descending lead order suffices
-            desc = np.argsort(-newleads)
-            done_rows = []
-            done_leads = []
-            for idx in desc:
-                row = newrows[idx]
-                if done_rows:
-                    coefs = row[done_leads]
-                    if coefs.any():
-                        row = reduce_mod(row - coefs @ np.array(done_rows), p)
-                done_rows.append(row)
-                done_leads.append(newleads[idx])
-            cleaned = np.array(done_rows[::-1])
-            cleaned_leads = list(reversed(done_leads))
-            # keep existing basis reduced at the new pivot columns
-            if self.rank:
-                coefs = self.R[:, cleaned_leads]
+            leads = lead[take]
+            rows = block[take]
+            inv = [pow(int(x), -1, p) for x in rows[range(len(take)), leads]]
+            rows = reduce_mod(rows * np.array(inv)[:, None], p)
+            # bottom-up: the rows below row i are zero left of their leads
+            # and already clear at each other's leads
+            for i in range(len(take) - 2, -1, -1):
+                coefs = rows[i, leads[i + 1:]]
                 if coefs.any():
-                    self.R = reduce_mod(self.R - coefs @ cleaned, p)
-            self.R = np.vstack([self.R, cleaned]) if self.rank else cleaned
-            self.piv = self.piv + cleaned_leads
+                    rows[i] = reduce_mod(rows[i] - coefs @ rows[i + 1:], p)
+            coefs = self.R[:, leads]
+            if coefs.any():
+                self.R = reduce_mod(self.R - coefs @ rows, p)
+            self.R = np.vstack([self.R, rows])
+            self.piv = self.piv + leads.tolist()
             if self.target is not None and self.rank >= self.target:
                 self.saturated = True
                 return
+            # the rest is clear at the old leads already
             block = np.delete(block, take, axis=0)
+            coefs = block[:, leads]
+            if coefs.any():
+                block = reduce_mod(block - coefs @ rows, p)
 
     def finalize(self):
         """Sort rows by pivot column (entries are already fully reduced)."""
@@ -452,29 +446,27 @@ def _eliminate(system, p, r, target_rank=None):
     return rref
 
 
-def _lift_basis(ncols, level, pivots, kept):
-    """Lift the exact RREF nullspace from its reductions at several primes.
+def _lift_basis(ncols, level, pivots, crt, p, roots, rrefs):
+    """Fold prime p into the CRT residue crt = (res, modulus) and lift.
 
-    kept lists (p, roots, rrefs): the finalized ModRREF at each embedding
-    root of p, all with pivot columns `pivots`.  An RREF entry at a free
-    column lies in Q(zeta_l) with degree below phi(l); one Vandermonde
-    solve per prime gives its power-basis coefficients mod p, CRT combines
-    the primes in one pass over an object array, and only the nonzero
-    residues are reconstructed.  Returns integer ndarrays (ncols, level),
-    denominators cleared per vector, or None if a reconstruction fails.
+    rrefs: the finalized ModRREF at each embedding root of p, all with
+    pivot columns `pivots`.  An RREF entry at a free column lies in
+    Q(zeta_l) with degree below phi(l); one Vandermonde solve gives its
+    power-basis coefficients mod p, CRT folds them in, one pass over an
+    object array, and only the nonzero residues are reconstructed.
+    Returns the new crt and integer ndarrays (ncols, level), denominators
+    cleared per vector, or None if a reconstruction fails.
     """
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    res, modulus = 0, 1
-    for p, roots, rrefs in kept:
-        stacked = [r.R[:, free].astype(np.int64).ravel() for r in rrefs]
-        coeffs = solve_mod_vandermonde(roots, stacked, p)
-        res, modulus = crt_combine(res, modulus,
-                                   np.array(coeffs, dtype=object), p)
-    phideg = len(kept[0][1])
-    vals = _reconstruct(res.reshape(phideg, len(pivots), len(free)), modulus)
+    stacked = [r.R[:, free].astype(np.int64).ravel() for r in rrefs]
+    coeffs = solve_mod_vandermonde(roots, stacked, p)
+    crt = crt_combine(*crt, np.array(coeffs, dtype=object), p)
+    phideg = len(roots)
+    vals = _reconstruct(crt[0].reshape(phideg, len(pivots), len(free)),
+                        crt[1])
     if vals is None:
-        return None
+        return crt, None
     basis = []
     for col, num, den in zip(free, vals[0].T, vals[1].T):  # (rank, phideg)
         lcm = math.lcm(*den.flat)
@@ -482,7 +474,7 @@ def _lift_basis(ncols, level, pivots, kept):
         vec[col, 0] = lcm
         vec[pivots, :phideg] = -num * (lcm // den)
         basis.append(vec)
-    return basis
+    return crt, basis
 
 
 def _verify_basis(system, basis, tags):
@@ -555,7 +547,7 @@ def certified_nullity(system, candidates=None):
                 return NullityCertificate(n_cand, level, list(candidates), tags)
         tags.append("candidates-fallback")
 
-    best, kept = None, []
+    best = None
     for p in prime_pool(level, ncols):
         roots = embedding_roots(p, level)
         rrefs = [_eliminate(system, p, root) for root in roots]
@@ -566,13 +558,13 @@ def certified_nullity(system, candidates=None):
         if key[0] == -ncols:
             return NullityCertificate(0, level, [], tags + ["full-rank"])
         if best is None or key < best:
-            best, kept = key, []
+            best, crt, lifted = key, (0, 1), 0
         elif key != best:
             continue
-        kept.append((p, roots, rrefs))
-        basis = _lift_basis(ncols, level, list(best[1]), kept)
+        crt, basis = _lift_basis(ncols, level, best[1], crt, p, roots, rrefs)
+        lifted += 1
         if basis is not None and _verify_basis(system, basis, tags):
-            tags.append(f"lift-primes={len(kept)}")
+            tags.append(f"lift-primes={lifted}")
             return NullityCertificate(ncols + best[0], level, basis, tags)
     raise CertificationFailed("prime pool exhausted")
 

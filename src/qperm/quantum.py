@@ -15,6 +15,7 @@ a mandatory singular-value gap.
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,11 @@ class MagicUnitary:
     @property
     def is_exact(self):
         return self.coeffs is not None
+
+    @cached_property
+    def exactly_magic(self):
+        """The exact check_magic verdict, computed once per grid."""
+        return self.is_exact and check_magic(self).ok
 
     def modp(self, p, root):
         """den * P at zeta -> root modulo p, as int64 in [0, p)."""
@@ -388,11 +394,11 @@ class _FixSystem:
     every a; hence ker(T_k - I) = Fix.  That is the finite-k form of the
     Cesaro formula for Hopf images of matrix models (Banica-Franz-Skalski,
     "Idempotent states and the inner linearity property", 2012).  The gate
-    is the exact check_magic: without it the trace rows may have lower
-    rank, and their lifted basis would never verify.  The trace rows come
-    from one chain of Gram blocks (_block_gram); when every block has rank
-    one they are cyclic products of k scalar Gram entries, n^k rows per
-    stream where the full rows number n^k d^2.
+    is the exact check_magic, once per grid (magic.exactly_magic): without
+    it the trace rows may have lower rank, and their lifted basis would
+    never verify.  The trace rows come from one chain of Gram blocks
+    (_block_gram); when every block has rank one they are cyclic products
+    of k scalar Gram entries, n^k rows where the full rows number n^k d^2.
 
     The float route keeps the full rows: for xi outside Fix,
     2 Re<xi, (I - T_k) xi> = (1/d) sum_a ||(I - U)(xi (x) e_a)||^2, so the
@@ -421,7 +427,7 @@ class _FixSystem:
                                    * self.d ** max(k - 1, 0) + magic.den ** k)
         else:
             self.coeff_l1_bound = None
-        self.traced = magic.is_exact and check_magic(magic).ok
+        self.traced = magic.exactly_magic
 
     def _trace_chunks(self, q, p):
         """Rows Tr(Q_{i_1 j_1} ... Q_{i_k j_k}) - d den^k delta_IJ mod p.

@@ -9,14 +9,18 @@ both systems, contracted without building a row, must reject a basis that
 is off by one coefficient.  The prime loop must outvote a prime that moves a
 pivot.
 
-A lift must take as many primes as its reconstruction needs.  The certified
-inverse of an integer matrix is read from the certified nullspace of
-[G | I]: it must skip a prime that divides the determinant and must not
-accept a reconstruction that fails verification; Fraction Gauss-Jordan is
-its oracle.  The streaming RREF modulo a prime must give the pivots and
-rows of Python-integer Gauss-Jordan, however its rows are chunked and
-however close its sums of residue products come to 2^53; the float64
-reduction under it must agree with Python-integer % up to its bound.
+A lift must take as many primes as its reconstruction needs, folding each
+into its CRT residue once.  The pool's four-base primality test and the
+level-2 root shortcut must give the primes and roots of the twelve-base
+test and the plain search.  The certified inverse of an integer matrix
+is read from the certified nullspace of [G | I]: it must skip a prime
+that divides the determinant and must not accept a reconstruction that
+fails verification; Fraction Gauss-Jordan is its oracle.  The streaming
+RREF modulo a prime must give the pivots and rows of Python-integer
+Gauss-Jordan, however its rows are chunked, on dense streams that take
+one new row per round, and however close its sums of residue products
+come to 2^53; the float64 reduction under it must agree with
+Python-integer % up to its bound.
 """
 
 from fractions import Fraction
@@ -25,6 +29,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+import qperm._exact as _exact
 from qperm._exact import (
     ModRREF,
     _eval_vectors_mod,
@@ -32,9 +37,12 @@ from qperm._exact import (
     _wang,
     certified_inverse,
     certified_nullity,
+    embedding_roots,
     fraction_matrix_inverse,
+    is_prime,
     prime_pool,
     reduce_mod,
+    solve_mod_vandermonde,
     unity_root_mod,
     zero_test_primes,
 )
@@ -150,6 +158,23 @@ def test_a_lift_takes_as_many_primes_as_reconstruction_needs():
     assert cert.tags == ["verify-primes=4", "verify-primes=6",
                          "verify-primes=7", "verify-primes=8",
                          "lift-primes=8"]
+
+
+def test_a_lift_folds_each_prime_once(monkeypatch):
+    """The running CRT residue takes one Vandermonde solve per kept prime:
+    8 for the eight primes above, where re-lifting from every kept prime
+    would take 1 + 2 + ... + 8 = 36."""
+    calls = []
+
+    def counted(points, rhs, p):
+        calls.append(p)
+        return solve_mod_vandermonde(points, rhs, p)
+
+    monkeypatch.setattr(_exact, "solve_mod_vandermonde", counted)
+    q, r = 2 ** 90 + 1, 2 ** 89 + 1
+    cert = certified_nullity(_IntegerRows([[q, r]]))
+    assert cert.tags[-1] == "lift-primes=8"
+    assert calls == list(islice(prime_pool(1, 2), 8))
 
 
 def test_eval_vectors_is_exact_for_large_coefficients():
@@ -381,3 +406,108 @@ def test_mod_rref_near_the_float64_bound(width, deficient):
         rr.finalize()
         assert rr.piv == piv
         assert rr.R.astype(np.int64).tolist() == ref
+
+
+def _dense_stream(rng, width, rank, p):
+    """width + 12 rows mod p of the given rank, every one with lead 0: the
+    dense regime, where each round of ModRREF takes one new row."""
+    basis = rng.integers(0, p, (rank, width))
+    rows = rng.integers(0, p, (width + 12, rank)) @ basis % p
+    assert rows[:, 0].all()
+    return rows
+
+
+@pytest.mark.parametrize("width", [48, 160])
+@pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+def test_mod_rref_on_dense_square_streams(width, deficient):
+    """Dense streams, whole and in uneven chunks, give the pivots and rows
+    of Python-integer Gauss-Jordan; with a target rank they stop there,
+    reduced, inside the row space."""
+    p = next(prime_pool(1, width))
+    rng = np.random.default_rng(3 * width + deficient)
+    rank = width - 5 if deficient else width
+    rows = _dense_stream(rng, width, rank, p)
+    piv, ref = _rref_mod(rows.tolist(), width, p)
+    assert piv == list(range(rank))
+    cuts = [1, 2, 7, width // 2, width + 3]
+    for chunks in ([rows], np.split(rows, cuts)):
+        rr = ModRREF(width, p)
+        for chunk in chunks:
+            rr.process(chunk)
+        rr.finalize()
+        assert rr.piv == piv
+        assert rr.R.astype(np.int64).tolist() == ref
+    for target in (1, rank // 3, rank):
+        rr = ModRREF(width, p, target_rank=target)
+        for chunk in np.split(rows, cuts):
+            rr.process(chunk)
+        assert rr.saturated and rr.rank == target
+        rr.finalize()
+        assert _rref_mod(rr.R.tolist(), width, p)[0] == rr.piv
+        assert _rref_mod(ref + rr.R.tolist(), width, p)[0] == piv
+
+
+def _is_prime_twelve_bases(n):
+    """Miller-Rabin at all twelve prime bases up to 37, after trial
+    division by them."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    return all(_strong_probable_prime(n, a) for a in bases)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _unity_root_by_search(p, level):
+    """The first a^((p-1)/level), a = 2, 3, ..., of order exactly level."""
+    if level == 1:
+        return 1
+    for a in range(2, p):
+        r = pow(a, (p - 1) // level, p)
+        if all(pow(r, level // q, p) != 1
+               for q in range(2, level + 1)
+               if level % q == 0 and _is_prime_twelve_bases(q)):
+            return r
+
+
+def test_is_prime_at_the_four_base_boundary():
+    """3 215 031 751 is composite and a strong pseudoprime to 2, 3, 5, 7:
+    is_prime agrees with all twelve bases on it, its neighbours and the
+    leading pool primes."""
+    psi4 = 3_215_031_751
+    assert psi4 == 151 * 751 * 28351
+    assert all(_strong_probable_prime(psi4, a) for a in (2, 3, 5, 7))
+    assert not is_prime(psi4)
+    near = range(psi4 - 300, psi4 + 301)
+    pool = [p for level in (1, 2, 5, 12) for width in (1, 36, 46656)
+            for p in islice(prime_pool(level, width), 50)]
+    for n in [*near, *pool, *range(1, 2000)]:
+        assert is_prime(n) == _is_prime_twelve_bases(n), n
+
+
+@pytest.mark.parametrize("level", range(1, 13))
+def test_prime_lookup_matches_the_twelve_base_search(monkeypatch, level):
+    """prime_pool and zero_test_primes, with their embedding roots, are
+    those of the twelve-base test and the search over a = 2, 3, ..."""
+    def lookups():
+        return [(list(islice(prime_pool(level, width), 30)),
+                 zero_test_primes(level, width, 10 ** 60),
+                 embedding_roots(next(prime_pool(level, width)), level))
+                for width in (1, 6, 36, 1296, 46656)]
+
+    got = lookups()
+    monkeypatch.setattr(_exact, "is_prime", _is_prime_twelve_bases)
+    monkeypatch.setattr(_exact, "unity_root_mod", _unity_root_by_search)
+    assert got == lookups()

@@ -666,6 +666,21 @@ def test_non_magic_exact_input_keeps_the_full_rows(k):
     assert (cert.dim, cert.tags) == (0, ["full-rank"])
 
 
+@pytest.mark.parametrize("h", [fourier(4), tao()],
+                         ids=lambda h: h.provenance)
+def test_exact_magic_check_runs_once_per_grid(monkeypatch, h):
+    """The Fix systems of every k read one exact check_magic verdict."""
+    calls = []
+
+    def counted(u, *args, **kwargs):
+        calls.append(u)
+        return check_magic(u, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "check_magic", counted)
+    invariants(h, 3, "direct")
+    assert len(calls) == 1 and calls[0].is_exact
+
+
 def _rref(chunks, ncols, p):
     """Finalized RREF of the stacked chunks."""
     rref = ModRREF(ncols, p)
