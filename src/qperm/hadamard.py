@@ -3,6 +3,12 @@
 A matrix is held either exactly (ButsonForm: level l and an integer exponent
 matrix, entry = zeta_l^e) or numerically (ComplexForm).  Classification is
 exact on the Butson path and compares floats by `scalars._tolerance_keys`.
+
+A catalog parameter is a rational turn q -> e^{2 pi i q} (exact) or a
+unimodular complex number (float).  The one-parameter families, Haagerup's
+H_6(q) and Petrescu's P_7(q), are patterns of entries zeta_base^w q^s read
+by one builder; the Dita deformations F_4(q), F_6^(2)(r, s) and
+F_6^(3)(r, s) are `dita` products of Fourier matrices.
 """
 
 from __future__ import annotations
@@ -181,7 +187,7 @@ def _param_kind(q):
     if isinstance(q, (int, Fraction)):
         t = Fraction(q) % 1
         return "exact", t.numerator, t.denominator
-    if isinstance(q, complex) or isinstance(q, float):
+    if isinstance(q, (complex, float)):
         z = complex(q)
         if abs(abs(z) - 1.0) > 1e-9:
             raise MalformedMatrix("parameter must have modulus 1")
@@ -202,44 +208,30 @@ def dita(h, k, l_params):
     when both factors are exact and L is given in turns (rationals).
     """
     n, m = h.n, k.n
-    exact_l = None
-    float_l = None
-    if l_params is None:
-        exact_l = np.zeros((m, n), dtype=np.int64), 1
-    else:
-        arr = np.asarray(l_params, dtype=object)
-        if arr.shape != (m, n):
-            raise ShapeMismatch(
-                f"parameter matrix must be {m}x{n}, got {arr.shape}"
-            )
-        kinds = [_param_kind(q) for q in arr.flat]
-        if all(kd[0] == "exact" for kd in kinds):
-            den = 1
-            for kd in kinds:
-                den = math.lcm(den, kd[2])
-            exps = np.array(
-                [kd[1] * (den // kd[2]) for kd in kinds], dtype=np.int64
-            ).reshape(m, n)
-            exact_l = exps, den
-        else:
-            float_l = np.array(
-                [complex(kd[1]) if kd[0] == "float"
-                 else np.exp(2j * np.pi * kd[1] / kd[2]) for kd in kinds]
-            ).reshape(m, n)
-
+    arr = np.zeros((m, n), dtype=object) if l_params is None else \
+        np.asarray(l_params, dtype=object)
+    if arr.shape != (m, n):
+        raise ShapeMismatch(
+            f"parameter matrix must be {m}x{n}, got {arr.shape}")
+    kinds = [_param_kind(q) for q in arr.flat]
     label = f"dita({h.provenance or 'H'},{k.provenance or 'K'})"
-    if h.is_exact and k.is_exact and exact_l is not None:
-        l_exp, l_lev = exact_l
-        lev = math.lcm(h.level, k.level, l_lev)
-        he = h.exponents * (lev // h.level)
-        ke = k.exponents * (lev // k.level)
-        le = l_exp * (lev // l_lev)
-        out = (he[:, None, :, None] + le[None, :, :, None]
-               + ke[None, :, None, :]).reshape(n * m, n * m)
-        return Hadamard(exponents=out % lev, level=lev, provenance=label)
-    lm = float_l if float_l is not None else np.exp(
-        2j * np.pi * exact_l[0] / exact_l[1]
-    )
+    if all(kd[0] == "exact" for kd in kinds):
+        l_lev = math.lcm(*(den for _, _, den in kinds))
+        le = np.array([num * (l_lev // den) for _, num, den in kinds],
+                      dtype=np.int64).reshape(m, n)
+        if h.is_exact and k.is_exact:
+            lev = math.lcm(h.level, k.level, l_lev)
+            he = h.exponents * (lev // h.level)
+            ke = k.exponents * (lev // k.level)
+            le = le * (lev // l_lev)
+            out = (he[:, None, :, None] + le[None, :, :, None]
+                   + ke[None, :, None, :]).reshape(n * m, n * m)
+            return Hadamard(exponents=out % lev, level=lev, provenance=label)
+        lm = np.exp(2j * np.pi * le / l_lev)
+    else:
+        lm = np.array([x if kd == "float" else
+                       np.exp(2j * np.pi * x / den) for kd, x, den in kinds]
+                      ).reshape(m, n)
     # (H_ij * L_aj) * K_ab, in that order, entry (i*m + a, j*m + b)
     out = (h.entries[:, None, :, None] * lm[None, :, :, None]
            * k.entries[None, :, None, :]).reshape(n * m, n * m)
@@ -266,37 +258,39 @@ def tao():
     return Hadamard(exponents=rows, level=3, provenance="tao")
 
 
+def _one_parameter(name, base, unit, pattern, q):
+    """The matrix with entries zeta_base^w q^s over a pattern of (w, s).
+
+    A rational turn q = num/den gives the Butson form at level
+    lcm(base, den); a unimodular complex q gives the float form, each entry
+    unit**w * q**s with unit the float value of zeta_base.
+    """
+    kind, x, den = _param_kind(q)
+    if kind == "exact":
+        lev = math.lcm(base, den)
+        exps = [[w * (lev // base) + s * x * (lev // den) for w, s in row]
+                for row in pattern]
+        return Hadamard(exponents=np.array(exps) % lev, level=lev,
+                        provenance=f"{name}({x}/{den})")
+    ent = [[(unit ** w) * (x ** s) for w, s in row] for row in pattern]
+    return Hadamard(entries=np.array(ent), provenance=f"{name}(float)")
+
+
 def haagerup(q):
     """The 6x6 one-parameter family with entries {1, +-i, +-q, +-qbar}."""
-    kind = _param_kind(q)
-    # pattern: value = sign * i^ipow * q^qpow  (qpow in {0, 1, -1})
-    P = [
-        [(1, 0, 0)] * 6,
-        [(1, 0, 0), (-1, 0, 0), (1, 1, 0), (1, 1, 0), (-1, 1, 0), (-1, 1, 0)],
-        [(1, 0, 0), (1, 1, 0), (-1, 0, 0), (-1, 1, 0), (1, 0, 1), (-1, 0, 1)],
-        [(1, 0, 0), (1, 1, 0), (-1, 1, 0), (-1, 0, 0), (-1, 0, 1), (1, 0, 1)],
-        [(1, 0, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, -1), (1, 1, 0), (-1, 0, 0)],
-        [(1, 0, 0), (-1, 1, 0), (-1, 0, -1), (1, 0, -1), (-1, 0, 0), (1, 1, 0)],
-    ]
-    if kind[0] == "exact":
-        num, den = kind[1], kind[2]
-        lev = math.lcm(4, den)
-        qe = num * (lev // den)
-        exps = [[(0 if s > 0 else lev // 2)
-                 + ip * (lev // 4) + qp * qe
-                 for (s, ip, qp) in row] for row in P]
-        return Hadamard(exponents=np.array(exps) % lev, level=lev,
-                        provenance=f"haagerup({num}/{den})")
-    z = kind[1]
-    ent = [[s * (1j ** ip) * (z ** qp) for (s, ip, qp) in row] for row in P]
-    return Hadamard(entries=np.array(ent), provenance="haagerup(float)")
+    return _one_parameter("haagerup", 4, 1j, [
+        [(0, 0)] * 6,
+        [(0, 0), (2, 0), (1, 0), (1, 0), (3, 0), (3, 0)],
+        [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (2, 1)],
+        [(0, 0), (1, 0), (3, 0), (2, 0), (2, 1), (0, 1)],
+        [(0, 0), (3, 0), (0, -1), (2, -1), (1, 0), (2, 0)],
+        [(0, 0), (3, 0), (2, -1), (0, -1), (2, 0), (1, 0)],
+    ], q)
 
 
 def petrescu(q):
     """The 7x7 one-parameter family over sixth roots of unity."""
-    kind = _param_kind(q)
-    # entries w^wpow * q^qpow with w = zeta_6
-    P = [
+    return _one_parameter("petrescu", 6, np.exp(2j * np.pi / 6), [
         [(0, 0)] * 7,
         [(0, 0), (1, 1), (4, 1), (5, 0), (3, 0), (3, 0), (1, 0)],
         [(0, 0), (4, 1), (1, 1), (3, 0), (5, 0), (3, 0), (1, 0)],
@@ -304,18 +298,7 @@ def petrescu(q):
         [(0, 0), (3, 0), (5, 0), (4, -1), (1, -1), (1, 0), (3, 0)],
         [(0, 0), (3, 0), (3, 0), (1, 0), (1, 0), (4, 0), (5, 0)],
         [(0, 0), (1, 0), (1, 0), (3, 0), (3, 0), (5, 0), (4, 0)],
-    ]
-    if kind[0] == "exact":
-        num, den = kind[1], kind[2]
-        lev = math.lcm(6, den)
-        qe = num * (lev // den)
-        exps = [[wp * (lev // 6) + qp * qe for (wp, qp) in row] for row in P]
-        return Hadamard(exponents=np.array(exps) % lev, level=lev,
-                        provenance=f"petrescu({num}/{den})")
-    z = kind[1]
-    w = np.exp(2j * np.pi / 6)
-    ent = [[(w ** wp) * (z ** qp) for (wp, qp) in row] for row in P]
-    return Hadamard(entries=np.array(ent), provenance="petrescu(float)")
+    ], q)
 
 
 def bjorck_froberg():
@@ -334,31 +317,17 @@ def bjorck_froberg():
 
 def f4q(q):
     """The one-parameter 4x4 family deforming F_2 tensor F_2."""
-    return dita(fourier(2), fourier(2), [[0, 0], [0, _as_turns_or_complex(q)]])
-
-
-def _as_turns_or_complex(q):
-    kind = _param_kind(q)
-    if kind[0] == "exact":
-        return Fraction(kind[1], kind[2])
-    return kind[1]
+    return dita(fourier(2), fourier(2), [[0, 0], [0, q]])
 
 
 def f6_two_three(r, s):
     """Deformation of F_2 tensor F_3 with column parameter matrix."""
-    zero = Fraction(0)
-    params = [[zero, zero],
-              [zero, _as_turns_or_complex(r)],
-              [zero, _as_turns_or_complex(s)]]
-    return dita(fourier(2), fourier(3), params)
+    return dita(fourier(2), fourier(3), [[0, 0], [0, r], [0, s]])
 
 
 def f6_three_two(r, s):
     """Deformation of F_3 tensor F_2 with row parameter matrix."""
-    zero = Fraction(0)
-    params = [[zero, zero, zero],
-              [zero, _as_turns_or_complex(r), _as_turns_or_complex(s)]]
-    return dita(fourier(3), fourier(2), params)
+    return dita(fourier(3), fourier(2), [[0, 0, 0], [0, r, s]])
 
 
 _CATALOG = {
@@ -813,16 +782,10 @@ def _sylvester_gen1(n, lev):
     if p < 3 or not is_prime(p):
         return RuleVerdict("SylvesterGen1", False, False,
                            "applies when n-2 is an odd prime")
-    rest = lev
-    if rest % 2 == 0:
-        rest //= 2
-        b = 0
-        while rest % p == 0:
-            rest //= p
-            b += 1
-        if rest == 1 and b >= 1:
-            return RuleVerdict("SylvesterGen1", True, True,
-                               f"n={p}+2 and l=2*{p}^{b}")
+    f = factorize(lev)
+    if f.get(2) == 1 and set(f) == {2, p}:
+        return RuleVerdict("SylvesterGen1", True, True,
+                           f"n={p}+2 and l=2*{p}^{f[p]}")
     return RuleVerdict("SylvesterGen1", True, False,
                        f"l={lev} is not of the form 2*{p}^b")
 
@@ -832,18 +795,12 @@ def _sylvester_gen2(n, lev):
     if n % 2 or q < 3 or not is_prime(q):
         return RuleVerdict("SylvesterGen2", False, False,
                            "applies when n = 2q with q an odd prime")
-    rest = lev
-    a = 0
-    while rest % 2 == 0:
-        rest //= 2
-        a += 1
-    if rest > 1:
-        ps = factorize(rest)
-        if len(ps) == 1:
-            (p, b), = ps.items()
-            if p > q and b >= 1:
-                return RuleVerdict("SylvesterGen2", True, True,
-                                   f"n=2*{q} and l=2^{a}*{p}^{b} with {p}>{q}")
+    f = factorize(lev)
+    a = f.pop(2, 0)
+    if len(f) == 1 and max(f) > q:
+        (p, b), = f.items()
+        return RuleVerdict("SylvesterGen2", True, True,
+                           f"n=2*{q} and l=2^{a}*{p}^{b} with {p}>{q}")
     return RuleVerdict("SylvesterGen2", True, False,
                        f"l={lev} is not of the form 2^a*p^b with p>{q}")
 
@@ -855,6 +812,10 @@ def _haagerup5(n, lev):
                        f"order 5 requires 5|l; l={lev}")
 
 
+_RULES = (_lam_leung, _sylvester, _de_launey, _sylvester_gen1,
+          _sylvester_gen2, _haagerup5)  # in RULE_ORDER
+
+
 def obstructions(n, lev):
     """Evaluate every obstruction rule at (n, l); any Obstructed verdict
     certifies the Butson class is empty."""
@@ -863,15 +824,7 @@ def obstructions(n, lev):
     if n == 1:
         return [RuleVerdict(r, False, False, "trivial order") for r in
                 RULE_ORDER]
-    checks = {
-        "LamLeung": _lam_leung,
-        "Sylvester": _sylvester,
-        "DeLauney": _de_launey,
-        "SylvesterGen1": _sylvester_gen1,
-        "SylvesterGen2": _sylvester_gen2,
-        "Haagerup5": _haagerup5,
-    }
-    return [checks[r](n, lev) for r in RULE_ORDER]
+    return [rule(n, lev) for rule in _RULES]
 
 
 def strongest_obstruction(n, lev):
@@ -1041,28 +994,37 @@ def write_cmat(h, path):
                 f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n")
 
 
-def _parse_tokens(line, lineno, count, conv, what):
-    toks = line.split()
-    if len(toks) != count:
-        raise ParseError(
-            f"expected {count} {what} entries, found {len(toks)}",
-            line=lineno,
-        )
-    out = []
-    for col, t in enumerate(toks, start=1):
-        try:
-            out.append(conv(t))
-        except ValueError as exc:
-            raise ParseError(f"bad {what} token {t!r}: {exc}",
-                             line=lineno, column=col) from None
-    return out
-
-
-def read_but(path):
+def _file_lines(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
+    return lines
+
+
+def _parse_rows(lines, n, conv, what):
+    """The n rows after the header line, each of n tokens read by conv."""
+    if len(lines) < n + 1:
+        raise ParseError(f"expected {n} rows, file has {len(lines) - 1}",
+                         line=len(lines))
+    rows = []
+    for lineno, line in enumerate(lines[1:n + 1], start=2):
+        toks = line.split()
+        if len(toks) != n:
+            raise ParseError(f"expected {n} {what} entries, found {len(toks)}",
+                             line=lineno)
+        rows.append([])
+        for col, t in enumerate(toks, start=1):
+            try:
+                rows[-1].append(conv(t))
+            except ValueError as exc:
+                raise ParseError(f"bad {what} token {t!r}: {exc}",
+                                 line=lineno, column=col) from None
+    return rows
+
+
+def read_but(path):
+    lines = _file_lines(path)
     head = lines[0].split()
     if len(head) != 2:
         raise ParseError("header must be 'n l'", line=1)
@@ -1072,32 +1034,17 @@ def read_but(path):
         raise ParseError("header must contain two integers", line=1) from None
     if n < 1 or lev < 1:
         raise ParseError("n and l must be positive", line=1)
-    if len(lines) < n + 1:
-        raise ParseError(f"expected {n} rows, file has {len(lines) - 1}",
-                         line=len(lines))
-    rows = [
-        _parse_tokens(lines[i + 1], i + 2, n, int, "exponent")
-        for i in range(n)
-    ]
-    return Hadamard(exponents=rows, level=lev, provenance=f"file:{path}")
+    return Hadamard(exponents=_parse_rows(lines, n, int, "exponent"),
+                    level=lev, provenance=f"file:{path}")
 
 
 def read_cmat(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
+    lines = _file_lines(path)
     try:
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError("header must be the order n", line=1) from None
     if n < 1:
         raise ParseError("n must be positive", line=1)
-    if len(lines) < n + 1:
-        raise ParseError(f"expected {n} rows, file has {len(lines) - 1}",
-                         line=len(lines))
-    rows = [
-        _parse_tokens(lines[i + 1], i + 2, n, complex, "complex")
-        for i in range(n)
-    ]
-    return Hadamard(entries=rows, provenance=f"file:{path}")
+    return Hadamard(entries=_parse_rows(lines, n, complex, "complex"),
+                    provenance=f"file:{path}")

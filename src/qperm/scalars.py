@@ -98,6 +98,12 @@ def factorize(m):
     return factors
 
 
+# order -> (mod, r): m is a norm from Z[zeta_order] iff every prime
+# p = r (mod mod), inert there, occurs in m to an even power.  That is the
+# sum of two squares at order 4 and the Eisenstein norms at orders 3 and 6.
+_INERT = {4: (4, 3), 3: (3, 2), 6: (3, 2)}
+
+
 def hermitian_norm_solvable(order, m):
     """Does Z[zeta_order] contain d with |d|^2 = m?
 
@@ -109,18 +115,10 @@ def hermitian_norm_solvable(order, m):
     if order in (1, 2):
         r = math.isqrt(m)
         return NormVerdict.SOLVABLE if r * r == m else NormVerdict.UNSOLVABLE
-    if order == 4:
-        # m is a sum of two squares iff primes = 3 (mod 4) occur evenly.
-        for p, e in factorize(m).items():
-            if p % 4 == 3 and e % 2 == 1:
-                return NormVerdict.UNSOLVABLE
-        return NormVerdict.SOLVABLE
-    if order in (3, 6):
-        # Eisenstein norms: primes = 2 (mod 3) must occur evenly.
-        for p, e in factorize(m).items():
-            if p % 3 == 2 and e % 2 == 1:
-                return NormVerdict.UNSOLVABLE
-        return NormVerdict.SOLVABLE
+    if order in _INERT:
+        mod, r = _INERT[order]
+        odd = any(p % mod == r and e % 2 for p, e in factorize(m).items())
+        return NormVerdict.UNSOLVABLE if odd else NormVerdict.SOLVABLE
     return NormVerdict.INCONCLUSIVE
 
 

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from qperm.errors import MalformedMatrix, ParseError, UnknownName
 from qperm.hadamard import (
+    RULE_ORDER,
     Hadamard,
     _catalog_witness,
     _orthogonal_rows,
@@ -371,6 +373,101 @@ def test_dita_generic_parameters_stay_hadamard():
     assert prod.is_exact
 
 
+# The one-parameter families as published (Tadej and Zyczkowski, "A concise
+# guide to complex Hadamard matrices", 2006): an entry is a sign, a unit
+# (1, i or w^k with w = e^{2 pi i/6}) and q, or Q for its conjugate.
+HAAGERUP_H6 = """
+1   1   1   1   1   1
+1  -1   i   i  -i  -i
+1   i  -1  -i   q  -q
+1   i  -i  -1  -q   q
+1  -i   Q  -Q   i  -1
+1  -i  -Q   Q  -1   i
+"""
+PETRESCU_P7 = """
+1   1    1    1    1    1   1
+1   wq   w4q  w5   w3   w3  w
+1   w4q  wq   w3   w5   w3  w
+1   w5   w3   wQ   w4Q  w   w3
+1   w3   w5   w4Q  wQ   w   w3
+1   w3   w3   w    w    w4  w5
+1   w    w    w3   w3   w5  w4
+"""
+
+
+def published(text):
+    """The entries of a published pattern as (constant turn, power of q)."""
+    out = []
+    for row in text.split("\n")[1:-1]:
+        out.append([])
+        for tok in row.split():
+            sign, i, w, k, q = re.fullmatch(
+                r"(-?)(?:1|(i)|(w)(\d?))?([qQ]?)", tok).groups()
+            turn = (Fraction(len(sign), 2) + Fraction(len(i or ""), 4)
+                    + Fraction(int(k or 1) if w else 0, 6))
+            out[-1].append((turn, {"q": 1, "Q": -1, "": 0}[q]))
+    return out
+
+
+def turn_value(turn, q, power):
+    """e^{2 pi i turn} q^power for a unimodular q."""
+    return cmath.exp(2j * math.pi * turn) * (q if power >= 0 else
+                                             q.conjugate()) ** abs(power)
+
+
+@pytest.mark.parametrize("family, text, base", [
+    (haagerup, HAAGERUP_H6, 4), (petrescu, PETRESCU_P7, 6)],
+    ids=["haagerup", "petrescu"])
+def test_one_parameter_families_are_the_published_matrices(family, text,
+                                                           base):
+    pattern = published(text)
+    for q in (Fraction(1, 4), Fraction(1, 7), Fraction(3, 5)):
+        h = family(q)
+        lev = math.lcm(base, q.denominator)
+        want = [[(t + s * q) * lev for t, s in row] for row in pattern]
+        assert all(x.denominator == 1 for row in want for x in row)
+        assert h.is_exact and h.level == lev
+        assert h.exponents.tolist() == [[int(x) % lev for x in row]
+                                        for row in want]
+        assert h.provenance == \
+            f"{family.__name__}({q.numerator}/{q.denominator})"
+    for t in (0.13, -0.3871):
+        q = cmath.exp(2j * math.pi * t)
+        h = family(q)
+        want = [[turn_value(t0, q, s) for t0, s in row] for row in pattern]
+        assert not h.is_exact and h.provenance == f"{family.__name__}(float)"
+        assert np.abs(h.entries - np.array(want)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("family, n, m, params", [
+    (f4q, 2, 2, lambda r, s: [[0, 0], [0, r]]),
+    (f6_two_three, 2, 3, lambda r, s: [[0, 0], [0, r], [0, s]]),
+    (f6_three_two, 3, 2, lambda r, s: [[0, 0, 0], [0, r, s]]),
+], ids=["f4q", "f6_two_three", "f6_three_two"])
+def test_dita_families_entry_by_entry(family, n, m, params):
+    # entry (i m + a, j m + b) is (F_n)_ij L_aj (F_m)_ab
+    arity = 1 if family is f4q else 2
+    cells = list(itertools.product(range(n), range(m), range(n), range(m)))
+    for rs in [(Fraction(1, 4), Fraction(1, 7)),
+               (Fraction(3, 5), Fraction(2, 9))]:
+        h = family(*rs[:arity])
+        lt = params(*rs)
+        lev = math.lcm(n, m, *(x.denominator for x in rs[:arity]))
+        assert h.is_exact and h.level == lev
+        for i, a, j, b in cells:
+            t = Fraction(i * j, n) + lt[a][j] + Fraction(a * b, m)
+            assert (h.exponents[i * m + a, j * m + b] - t * lev) % lev == 0
+    for rs in [(0.13, 0.41), (-0.27, 0.05)]:
+        qs = [cmath.exp(2j * math.pi * t) for t in rs]
+        h = family(*qs[:arity])
+        lv = [[x or 1 for x in row] for row in params(*qs)]
+        assert not h.is_exact
+        for i, a, j, b in cells:
+            want = (cmath.exp(2j * math.pi * i * j / n) * lv[a][j]
+                    * cmath.exp(2j * math.pi * a * b / m))
+            assert abs(h.entries[i * m + a, j * m + b] - want) <= 1e-15
+
+
 def test_regular_certificates_resum():
     for h in (fourier(5), tao(), haagerup(Fraction(1, 4)),
               haagerup(turns(0.13)), petrescu(turns(0.07)), f4q(turns(0.37)),
@@ -480,6 +577,56 @@ def test_obstruction_rules_spot_cells():
     assert strongest_obstruction(6, 6) is None
     verdicts = obstructions(6, 5)
     assert any(v.obstructs for v in verdicts)
+
+
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, p))
+
+
+def _rules_by_definition(n, lev):
+    """(applies, obstructs) of each rule of RULE_ORDER, restated by trial
+    division and by listing the levels each rule names."""
+    if n == 1:
+        return [(False, False)] * len(RULE_ORDER)
+    primes = [p for p in range(2, lev + 1) if lev % p == 0 and _is_prime(p)]
+    sums = [True]
+    for v in range(1, n + 1):
+        sums.append(any(sums[v - p] for p in primes if p <= v))
+    # |d|^2 = n^n over Z[zeta_l], decided at l in {2, 3, 4, 6} only: n^n
+    # is a square at l = 2, and else no inert prime divides it to an odd
+    # power (p = 3 mod 4 at l = 4, p = 2 mod 3 at l = 3 and 6)
+    odd = [p for p in range(2, n + 1) if _is_prime(p)
+           and n * max(b for b in range(n) if n % p ** b == 0) % 2]
+    not_norm = {2: math.isqrt(n ** n) ** 2 != n ** n,
+                4: any(p % 4 == 3 for p in odd),
+                3: any(p % 3 == 2 for p in odd),
+                6: any(p % 3 == 2 for p in odd)}.get(lev, False)
+    gen1 = n - 2 >= 3 and _is_prime(n - 2)
+    gen2 = n % 2 == 0 and n // 2 >= 3 and _is_prime(n // 2)
+    gen2_levels = {2 ** a * p ** b for p in range(n // 2 + 1, lev + 1)
+                   if gen2 and _is_prime(p)
+                   for a in range(7) for b in range(1, 7)}
+    return [
+        (True, not sums[n]),
+        (lev == 2, lev == 2 and n != 2 and n % 4 != 0),
+        (True, not_norm),
+        (gen1, gen1 and lev in {2 * (n - 2) ** b for b in range(1, 7)}),
+        (gen2, gen2 and lev in gen2_levels),
+        (n == 5, n == 5 and lev % 5 != 0),
+    ]
+
+
+def test_obstruction_rules_match_their_definitions():
+    for n in range(1, 41):
+        for lev in range(2, 81):
+            got = obstructions(n, lev)
+            assert [v.rule for v in got] == list(RULE_ORDER)
+            assert [(v.applies, v.obstructs) for v in got] == \
+                _rules_by_definition(n, lev), (n, lev)
+    # l = 2 p^b with p = n - 2 an odd prime; l = 2^a p^b, p > q, n = 2q
+    assert obstructions(7, 50)[3].obstructs
+    assert obstructions(10, 4 * 7 ** 2)[4].obstructs
+    assert not obstructions(10, 4 * 5)[4].obstructs
 
 
 def test_obstruction_table_shape():
