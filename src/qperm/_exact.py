@@ -35,9 +35,10 @@ product exceeds B, each with its embedding roots.  Verification below,
 the prime loop, the magic-unitary checks of `quantum` and the
 orthogonality and zero-sum checks of `hadamard` read only these two.
 `reduce_mod(a, p)` is the one float64 reduction: every float64
-sum of residue products that `ModRREF`, `_InverseSystem` and the Fix
-contraction of `quantum` form is brought back into [0, p) by it, exact
-for |a| <= 2^53 - 2p (int64 sums keep `%`).
+sum of residue products that `ModRREF`, `_InverseSystem` and the Fix and
+Hom contractions and Fix rows of `quantum` form is brought back into
+[0, p) by it, exact for |a| <= 2^53 - 2p.  int64 sums keep `%`, and
+`_matmul_mod` splits an int64 product into partial sums below 2^63.
 
 A system A is never held whole.  It exposes `ncols`, `level`,
 `coeff_l1_bound` and two streams, both evaluated modulo a prime
@@ -256,15 +257,19 @@ def _wang(u, modulus):
 def crt_combine(res_a, mod_a, res_b, mod_b):
     """Combine residues into one modulo mod_a * mod_b.
 
-    Works elementwise on object arrays of Python integers, in one pass.
+    The first fold, from (0, 1), returns res_b itself.  Later folds work
+    elementwise on object arrays of Python integers, in one pass.
     """
+    if mod_a == 1:
+        return res_b, mod_b
+    res_a = np.asarray(res_a, dtype=object)
     inv = pow(mod_a % mod_b, -1, mod_b)
     diff = (res_b - res_a) % mod_b
     return res_a + mod_a * ((diff * inv) % mod_b), mod_a * mod_b
 
 
 def _reconstruct(res, modulus):
-    """Numerators and denominators from an object array of CRT residues.
+    """Numerators and denominators from an array of CRT residues.
 
     Only the nonzero residues are reconstructed; zeros give 0/1.  None as
     soon as one reconstruction fails.
@@ -272,31 +277,51 @@ def _reconstruct(res, modulus):
     num = np.zeros(res.shape, dtype=object)
     den = np.ones(res.shape, dtype=object)
     for i in np.flatnonzero(res):
-        pair = _wang(res.flat[i], modulus)
+        pair = _wang(int(res.flat[i]), modulus)
         if pair is None:
             return None
         num.flat[i], den.flat[i] = pair
     return num, den
 
 
+def _matmul_mod(a, b, p):
+    """a @ b modulo p for int64 residues in [0, p), as int64 in [0, p).
+
+    The contraction runs in partial sums of at most `step` products below
+    (p-1)^2, each added to a reduced sum below p, so every int64 sum stays
+    below 2^63.
+    """
+    step = ((1 << 63) - p) // (p - 1) ** 2
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for s in range(0, a.shape[-1], step):
+        out = (out + a[..., s:s + step] @ b[s:s + step]) % p
+    return out
+
+
 def solve_mod_vandermonde(points, rhs, p):
-    """Solve V c = rhs (mod p) for V[i][j] = points[i]^j; rhs is (m, k)."""
-    m = len(points)
-    mat = [[pow(int(points[i]), j, p) for j in range(m)] for i in range(m)]
-    rhs = [[int(x) % p for x in row] for row in rhs]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if mat[r][col] % p)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = pow(mat[col][col], p - 2, p)
-        mat[col] = [x * inv % p for x in mat[col]]
-        rhs[col] = [x * inv % p for x in rhs[col]]
-        for r in range(m):
-            if r != col and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[col])]
-                rhs[r] = [(a - c * b) % p for a, b in zip(rhs[r], rhs[col])]
-    return rhs
+    """Solve V c = rhs (mod p) for V[i][j] = points[i]^j; rhs is (m, k).
+
+    V is inverted once, by Lagrange interpolation in Python integers: with
+    P(x) = prod_i (x - x_i), column i of V^-1 holds the coefficients of
+    P(x) / ((x - x_i) P'(x_i)).  The inverse is applied to rhs as one int64
+    product (_matmul_mod).  Returns int64 residues of shape (m, k).
+    """
+    xs = [int(x) % p for x in points]
+    m = len(xs)
+    master = [1]  # P, lowest degree first
+    for x in xs:
+        master = [(lo - x * hi) % p
+                  for lo, hi in zip([0] + master, master + [0])]
+    inv = np.zeros((m, m), dtype=np.int64)
+    for i, xi in enumerate(xs):
+        quot, carry = [0] * m, 0  # P / (x - x_i) by synthetic division
+        for j in range(m, 0, -1):
+            carry = (master[j] + carry * xi) % p
+            quot[j - 1] = carry
+        scale = pow(math.prod(xi - x for k, x in enumerate(xs) if k != i)
+                    % p, -1, p)
+        inv[:, i] = [c * scale % p for c in quot]
+    return _matmul_mod(inv, np.mod(np.asarray(rhs), p).astype(np.int64), p)
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +449,11 @@ def _root_powers(root, p, level):
 def _eval_vectors_mod(vectors, p, r, level):
     """Evaluate integer cyclo arrays (..., level) at zeta -> r mod p.
 
-    Coefficients are reduced mod p first, in exact integers.  Partial sums
-    of at most `step` products below p^2 keep the int64 sums exact.
+    Coefficients are reduced mod p first, in exact integers, and the sum
+    over the powers of r is one _matmul_mod.
     """
-    pows = _root_powers(r, p, level)
     red = np.mod(vectors, p).astype(np.int64, copy=False)
-    step = ((1 << 63) - p) // (p - 1) ** 2
-    out = np.zeros(red.shape[:-1], dtype=np.int64)
-    for s in range(0, level, step):
-        out = (out + red[..., s:s + step] @ pows[s:s + step]) % p
-    return out
+    return _matmul_mod(red, _root_powers(r, p, level), p)
 
 
 def _eliminate(system, p, r, target_rank=None):
@@ -453,15 +473,16 @@ def _lift_basis(ncols, level, pivots, crt, p, roots, rrefs):
     pivot columns `pivots`.  An RREF entry at a free column lies in
     Q(zeta_l) with degree below phi(l); one Vandermonde solve gives its
     power-basis coefficients mod p, CRT folds them in, one pass over an
-    object array, and only the nonzero residues are reconstructed.
-    Returns the new crt and integer ndarrays (ncols, level), denominators
-    cleared per vector, or None if a reconstruction fails.
+    object array (the first prime's residues are kept as they are), and
+    only the nonzero residues are reconstructed.  Returns the new crt and
+    integer ndarrays (ncols, level), denominators cleared per vector, or
+    None if a reconstruction fails; a vector is int64 when every entry
+    fits (_fit_int64) and holds Python integers otherwise.
     """
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     stacked = [r.R[:, free].astype(np.int64).ravel() for r in rrefs]
-    coeffs = solve_mod_vandermonde(roots, stacked, p)
-    crt = crt_combine(*crt, np.array(coeffs, dtype=object), p)
+    crt = crt_combine(*crt, solve_mod_vandermonde(roots, stacked, p), p)
     phideg = len(roots)
     vals = _reconstruct(crt[0].reshape(phideg, len(pivots), len(free)),
                         crt[1])
@@ -473,8 +494,26 @@ def _lift_basis(ncols, level, pivots, crt, p, roots, rrefs):
         vec = np.zeros((ncols, level), dtype=object)
         vec[col, 0] = lcm
         vec[pivots, :phideg] = -num * (lcm // den)
-        basis.append(vec)
+        basis.append(_fit_int64(vec))
     return crt, basis
+
+
+def _fit_int64(a):
+    """An object array of Python integers as int64 when every entry lies
+    in (-2^63, 2^63), else unchanged."""
+    if a.size and int(np.abs(a).max()) >= 1 << 63:
+        return a
+    return a.astype(np.int64)
+
+
+def _l1_max(X):
+    """The largest sum of |X[..., t]| over the last axis, exact: in int64
+    when level * max |x| < 2^63, else in Python integers."""
+    A = np.abs(X)
+    if A.dtype != object and (A.min() < 0 or  # |-2^63| wraps in int64
+                              int(A.max()) * A.shape[-1] >= 1 << 63):
+        A = np.abs(X.astype(object))
+    return int(A.sum(axis=-1).max())
 
 
 def _verify_basis(system, basis, tags):
@@ -483,14 +522,13 @@ def _verify_basis(system, basis, tags):
     The zero test of the module docstring with B = B_1, at the embeddings
     of zero_test_primes(level, ncols, B_1), applied through the blocks
     that system.residuals_modp computes without rows of A.  ||x_j||_1 in
-    B_1 is read from the vectors.
+    B_1 is read from the vectors, exactly (_l1_max).
     """
     if not basis:
         return True
     level = max(system.level, 1)
-    X = np.array([np.asarray(v, dtype=object) for v in basis], dtype=object)
-    bound = system.ncols * system.coeff_l1_bound * int(
-        np.abs(X).sum(axis=-1).max())
+    X = np.array([np.asarray(v) for v in basis])
+    bound = system.ncols * system.coeff_l1_bound * _l1_max(X)
     primes = zero_test_primes(level, system.ncols, bound)
     tags.append(f"verify-primes={len(primes)}")
     for p, roots in primes:
@@ -505,7 +543,7 @@ def _verify_basis(system, basis, tags):
 
 def _independent_mod(basis, p, root, level):
     """Rank check of candidate vectors at one embedding modulo p."""
-    X = np.array([np.asarray(v, dtype=object) for v in basis], dtype=object)
+    X = np.array([np.asarray(v) for v in basis])
     Xt = _eval_vectors_mod(X, p, root, level)
     rref = ModRREF(Xt.shape[1], p)
     rref.process(Xt)

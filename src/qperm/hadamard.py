@@ -37,8 +37,8 @@ from .scalars import (
     DEFAULT_TOL,
     NormVerdict,
     _tolerance_keys,
+    factored_norm_solvable,
     factorize,
-    hermitian_norm_solvable,
 )
 
 LEVEL_INFINITE = math.inf
@@ -757,7 +757,9 @@ def _lam_leung(n, lev):
 
 
 def _de_launey(n, lev):
-    verdict = hermitian_norm_solvable(lev, n ** n)
+    # v_q(n^n) = n v_q(n): n^n itself is never formed or factored
+    verdict = factored_norm_solvable(
+        lev, {q: n * e for q, e in factorize(n).items()})
     if verdict is NormVerdict.INCONCLUSIVE:
         return RuleVerdict(
             "DeLauney", True, False,

@@ -304,28 +304,64 @@ def _chain_apply(G4, steps, start, ends, zero, Y, p=None):
     the entry start[m_1, b_1] * prod_{t>=2} G[m_t,m_{t-1},b_t,b_{t-1}] *
     ends[e, m_steps, b_steps]; at steps = 0 it is the scalar zero[e].
     Returns R[e, M, c] = sum_B K_e[M, B] * Y[B, c].  The chain is an
-    operator of bond (m_t, b_t): Y is multiplied by the start factor and
-    then contracted one b-site at a time, so K is never formed unless Y is
-    the identity.  Modulo p every step sums n products of residues below
-    p < 2^26, which int64 holds exactly; the last one is left unreduced,
-    below n * p^2, for the caller.  With p None the arithmetic is complex.
+    operator of bond (m_t, b_t), and K is never formed: Y is multiplied by
+    the start factor, each G step is one batched matmul over the batch
+    (m_{t-1}, b_t) contracting b_{t-1}, and the end factors are one batched
+    matmul over m_steps contracting b_steps.  Every matmul reads a strided
+    view of the array before it and writes the next one, so no step
+    copies.  Modulo p the operands are float64 residues in [0, p): the
+    start product is below p^2 and each step sums n products of at most
+    (p-1)^2; reduce_mod brings both back into [0, p), which needs
+    n (p-1)^2 <= 2^53 - 2p (_HomSystem._blocks proves it for the engine's
+    primes).  The end sums are left unreduced, below n (p-1)^2, for the
+    caller.  With p None the arithmetic is complex.
     """
     n = G4.shape[0]
     if steps == 0:
         return zero[:, None, None] * Y
-    # W[a, m_t, b_t, rest]: a packs m_1..m_{t-1}, rest packs b_{t+1}..b_s, c
-    W = start[None, :, :, None] * Y.reshape(1, 1, n, -1)
-    for _ in range(steps - 1):
-        if p is not None:
-            W %= p
-        a = W.shape[0]
-        W = W.reshape(a, n, n, n, -1)
-        W = np.einsum("apqsc,mpsq->apmsc", W, G4)
-        W = W.reshape(a * n, n, n, -1)
+    # W[a, b_t, m_t, rest]: a packs m_1..m_{t-1}, rest packs b_{t+1}.., c
+    W = start.T[None, :, :, None] * Y.reshape(1, n, 1, -1)
     if p is not None:
-        W %= p
-    out = np.einsum("apqc,epq->eapc", W, ends)
-    return out.reshape(len(ends), W.shape[0] * n, -1)
+        reduce_mod(W, p)
+    # Gb[m_t, b_t+1, m_t+1, b_t] = G[m_t+1, m_t, b_t+1, b_t]
+    Gb = np.ascontiguousarray(G4.transpose(1, 2, 0, 3))
+    for _ in range(steps - 1):
+        a = W.shape[0]
+        W = W.reshape(a, n, n, n, -1).transpose(0, 2, 3, 1, 4)
+        W = np.matmul(Gb, W)  # W[a, m_t, b_t+1, m_t+1, rest]
+        if p is not None:
+            reduce_mod(W, p)
+        W = W.reshape(a * n, n, n, -1)
+    out = np.matmul(ends.transpose(1, 0, 2), W.transpose(0, 2, 1, 3))
+    return out.transpose(2, 0, 1, 3).reshape(len(ends), -1, out.shape[-1])
+
+
+def _chain_matrices(G4, steps, start, ends, zero, p=None):
+    """The chain matrices K_e of _chain_apply, K[e, M, B], formed.
+
+    Built site by site as outer products: K[M, B] = start[m_1, b_1], each
+    step multiplies K[M, m, B, b] by G[m', m, b', b] into K[(M, m, m'),
+    (B, b, b')], n^(2t) entries at step t, and the end factors multiply the
+    last site.  No sum is formed.  Modulo p (int64 residues, the start
+    factor reduced first) every product is below p^2 and is reduced; with
+    p None the arithmetic is complex.
+    """
+    n = G4.shape[0]
+    if steps == 0:
+        return zero[:, None, None]
+    Gt = G4.transpose(1, 0, 3, 2)[:, :, None, :, :]  # [m, m', 1, b, b']
+    K = start if p is None else start % p
+    for _ in range(steps - 1):
+        a = K.shape[0] // n
+        K = K.reshape(a, n, 1, a, n, 1) * Gt
+        if p is not None:
+            K %= p
+        K = K.reshape(a * n * n, a * n * n)
+    a = K.shape[0] // n
+    K = K.reshape(1, a, n, a, n) * ends[:, None, :, None, :]
+    if p is not None:
+        K %= p
+    return K.reshape(len(ends), a * n, a * n)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +441,11 @@ class _FixSystem:
     small singular values of T_k - I can be about the squares of those of
     the full rows, which would erode the singular-value gap.
 
-    One contraction serves the full rows and the residuals (_blocks): it
-    contracts X against the blocks one tensor site at a time.  The full
-    rows, complex or of an exact input that is not magic, are its blocks
-    at X = I, one per i_1.  Verification runs it on the candidate vectors
-    over all i_1 at once, so the lower bound checks the full system and
-    no row is built.
+    The full rows, complex or of an exact input that is not magic, are
+    products of the blocks formed one site at a time (_rows), one chunk
+    per i_1.  Verification contracts the candidate vectors against the
+    blocks one site at a time over all i_1 at once (_blocks), so the lower
+    bound checks the full system and no row is built.
     """
 
     def __init__(self, magic, k):
@@ -461,76 +496,108 @@ class _FixSystem:
             rows[suf, i1 * nsuf + suf] -= corr
             yield rows % p
 
-    def _blocks(self, pm, X, corr, p, firsts):
-        """Blocks A·X of the rows whose i_1 lies in each slice of firsts.
+    def _rows(self, pm, corr, p):
+        """The full rows (I, a, b), one chunk per i_1, from block products.
 
         pm holds the blocks Q = den * P (residues modulo p as float64, or
-        complex with p None), X has shape (ncols, nvec) and row (I, a, b)
+        complex with p None).  For the i_1 of a chunk, W[a, j_1, i_2, j_2,
+        .., i_t, j_t, c] = (Q_{i_1 j_1} ... Q_{i_t j_t})_{ac}: a site
+        multiplies W by every block Q[i_t, j_t] in one matmul over the bond
+        c, whose product is W of the next site as it lies in memory, so no
+        sum runs over the zeros of an identity and the chunk is one
+        transposed copy of the last W, minus corr at J = I and a = b.
+        Modulo p the bond is summed in groups of at most `group` products
+        of at most (p-1)^2, each added to the reduced sum of the groups
+        before: group (p-1)^2 + p - 1 <= 2^53 - 2p, reduce_mod's bound, and
+        group >= 1 since p <= 2^26.  After the corr subtraction an entry
+        lies in (-p, p).
+        """
+        n, d, k = self.n, self.d, self.k
+        group = d if p is None else ((1 << 53) - 3 * p) // (p - 1) ** 2
+        Qb = pm.transpose(2, 0, 1, 3).reshape(d, -1)  # [c, (i_t, j_t, b)]
+        nsuf = n ** (k - 1)
+        suf = np.arange(nsuf)[:, None]
+        diag = np.arange(d)
+        # W[a, j_1, i_2, j_2, .., i_k, j_k, b] -> rows (i_2..i_k, a, b)
+        order = [*range(2, 2 * k - 1, 2), 0, 2 * k, *range(1, 2 * k, 2)]
+        for i1 in range(n):
+            W = pm[i1].transpose(1, 0, 2)
+            for _ in range(1, k):
+                A, shape = W.reshape(-1, d), W.shape[:-1] + (n, n, d)
+                W = A[:, :group] @ Qb[:group]
+                for c in range(group, d, group):  # only modulo p
+                    reduce_mod(W, p)
+                    W += A[:, c:c + group] @ Qb[c:c + group]
+                if p is not None:
+                    reduce_mod(W, p)
+                W = W.reshape(shape)
+            # a C-order copy, also at k = 1, where W is a view of pm
+            rows = W.transpose(order).copy().reshape(nsuf, d, d, -1)
+            del W  # free before the next chunk's product, not after
+            at = (suf, diag, diag, i1 * nsuf + suf)
+            rows[at] -= corr
+            if p is not None:
+                rows[at] = reduce_mod(rows[at], p)
+            yield rows.reshape(-1, self.ncols)
+
+    def _blocks(self, pm, X, corr, p):
+        """The block A·X modulo p of all the full rows, rows unbuilt.
+
+        pm holds the blocks Q = den * P as float64 residues modulo p, X
+        has shape (ncols, nvec) with entries in [0, p) and row (I, a, b)
         of A is sum_J (Q_{i_1 j_1} ... Q_{i_k j_k})_{ab} X[J] - corr X[I]
         delta_ab.  Site 1 gives W[i_1, a, c, J', v] = sum_j Q[i_1, j, a, c]
-        X[(j, J'), v] for the i_1 of the slice; each later site t contracts
-        j_t and the bond c against Q[i_t, j_t, c, b].  Between sites W is
-        kept as W[c, j_t, rest, I, a], so tensordot reads it without a copy
-        and a site of one bond group holds at most two arrays the size of
-        the block it yields.  Modulo p (X in [0, p)) every sum is brought
-        back into [0, p) by reduce_mod, whose bound is |a| <= 2^53 - 2p.
-        Site 1 sums n products of at most (p-1)^2.  A later site adds n
-        such products per bond value, `group` bond values at once, to the
-        reduced sum of the groups before: at most
+        X[(j, J'), v]; each later site t contracts j_t and the bond c
+        against Q[i_t, j_t, c, b].  Between sites W is kept as
+        W[c, j_t, rest, I, a], so tensordot reads it without a copy and a
+        site holds at most two arrays the size of the block it yields.
+        Every sum is brought back into [0, p) by reduce_mod, whose bound is
+        |a| <= 2^53 - 2p.  Site 1 sums n products of at most (p-1)^2.  A
+        later site adds n such products per bond value, `group` bond
+        values at once, to the reduced sum of the groups before: at most
         group n (p-1)^2 + p - 1 <= 2^53 - 2p - 1.  After the corr
         subtraction W lies in (-p^2, p).  The engine's primes have
         (n^k + 1) p^2 <= 2^53 and p >= 5, so n (p-1)^2 + 3p <= (n + 1) p^2
-        <= 2^53: group >= 1 and site 1 is in bound, n = 1 included.  With
-        p None the arithmetic is complex and the bond is one group.  The
-        block of a slice holds its rows (I, a, b) in order.
+        <= 2^53: group >= 1 and site 1 is in bound, n = 1 included.  The
+        block holds its rows (I, a, b) in order.
         """
         n, d, k = self.n, self.d, self.k
         nvec = X.shape[1]
-        group = d if p is None else ((1 << 53) - 3 * p) // (n * (p - 1) ** 2)
-        X = X.reshape(n, -1)
+        group = ((1 << 53) - 3 * p) // (n * (p - 1) ** 2)
         diag = np.arange(d)
         axes = ([2, 1], [0, 1])
-        for first in firsts:
-            W = np.tensordot(pm[first], X, ([1], [0]))  # W[I, a, c, J', v]
-            if p is not None:
-                reduce_mod(W, p)
-            if k > 1:
-                W = np.ascontiguousarray(W.transpose(2, 3, 0, 1))
-            for t in range(1, k):
-                W = W.reshape((d, n, -1) + W.shape[2:])
-                acc = np.tensordot(pm[:, :, :group], W[:group], axes)
-                for c in range(group, d, group):  # only modulo p
-                    reduce_mod(acc, p)
-                    acc += np.tensordot(pm[:, :, c:c + group],
-                                        W[c:c + group], axes)
-                if p is not None:
-                    reduce_mod(acc, p)
-                del W
-                # acc[i_t, b, rest, I, a] -> W[b, rest, (I, i_t), a], and
-                # after the last site -> W[(I, i_t), a, b, v]
-                last = t == k - 1
-                W = np.ascontiguousarray(acc.transpose(
-                    (3, 0, 4, 1, 2) if last else (1, 2, 3, 0, 4)))
-                del acc
-                W = W.reshape((-1, d, d, nvec) if last
-                              else (d, W.shape[1], -1, d))
-            W[:, diag, diag] -= corr * X[first].reshape(-1, 1, nvec)
-            if p is not None:
-                reduce_mod(W, p)
-            yield W.reshape(-1, nvec)
+        W = reduce_mod(np.tensordot(pm, X.reshape(n, -1), ([1], [0])), p)
+        if k > 1:  # W[I, a, c, J', v] -> W[c, J', v, I, a]
+            W = np.ascontiguousarray(W.transpose(2, 3, 0, 1))
+        for t in range(1, k):
+            W = W.reshape((d, n, -1) + W.shape[2:])
+            acc = np.tensordot(pm[:, :, :group], W[:group], axes)
+            for c in range(group, d, group):
+                reduce_mod(acc, p)
+                acc += np.tensordot(pm[:, :, c:c + group], W[c:c + group],
+                                    axes)
+            reduce_mod(acc, p)
+            del W
+            # acc[i_t, b, rest, I, a] -> W[b, rest, (I, i_t), a], and
+            # after the last site -> W[(I, i_t), a, b, v]
+            last = t == k - 1
+            W = np.ascontiguousarray(acc.transpose(
+                (3, 0, 4, 1, 2) if last else (1, 2, 3, 0, 4)))
+            del acc
+            W = W.reshape((-1, d, d, nvec) if last
+                          else (d, W.shape[1], -1, d))
+        W[:, diag, diag] -= corr * X.reshape(-1, 1, nvec)
+        return reduce_mod(W, p).reshape(-1, nvec)
 
     def chunks_modp(self, p, root):
         q = self.magic.modp(p, root)
         if self.traced:
             return self._trace_chunks(q, p)
-        return self._blocks(q.astype(np.float64), np.eye(self.ncols),
-                            pow(self.magic.den, self.k, p), p,
-                            [slice(i, i + 1) for i in range(self.n)])
+        return self._rows(q.astype(np.float64),
+                          pow(self.magic.den, self.k, p), p)
 
     def chunks_complex(self):
-        return self._blocks(self.magic.blocks,
-                            np.eye(self.ncols, dtype=np.complex128), 1.0,
-                            None, [slice(i, i + 1) for i in range(self.n)])
+        return self._rows(self.magic.blocks, 1.0, None)
 
     def residuals_modp(self, p, root, X):
         """Residuals A·X mod p of the full Fix rows, rows unbuilt.
@@ -538,9 +605,9 @@ class _FixSystem:
         X has shape (ncols, nvec), entries in [0, p).  One block over all
         i_1 (_blocks), for Q = den * P mod p and corr = den^k.
         """
-        return self._blocks(self.magic.modp(p, root).astype(np.float64),
-                            np.asarray(X, dtype=np.float64),
-                            pow(self.magic.den, self.k, p), p, [slice(None)])
+        yield self._blocks(self.magic.modp(p, root).astype(np.float64),
+                           np.asarray(X, dtype=np.float64),
+                           pow(self.magic.den, self.k, p), p)
 
 
 class _HomSystem:
@@ -572,15 +639,16 @@ class _HomSystem:
     system; modulo p (p does not divide n) the row space is the same, and
     with it the canonical RREF and every lifted basis.
 
-    Verification contracts the same chunks: if C_jc X = 0 at an embedding
-    modulo p for every (j, c), the identity gives A X = 0 there, so the
-    zero test keeps the bound of A (coeff_l1_bound).  A true null vector
-    of A has C_jc X = (V (x) U)* A X / n^4 = 0, so nothing valid is
-    rejected.  One contraction serves rows and residuals (_blocks): for
-    each start column j it multiplies X by the start factor, contracts one
-    chain site at a time and applies the end factors of all n end columns
-    at once, and the rows are its blocks at X = I.  Exact systems read G
-    modulo p from the residues of H and never build the complex G tensor.
+    The rows are formed, not contracted (_rows): C_jc = s1 (I (x) K1_jc)
+    - s2 (K2_jc (x) I), with K1_jc and K2_jc the chain matrices of k and l
+    steps built site by site as outer products (_chain_matrices), so no
+    sum runs over the zeros of an identity.  Verification contracts the
+    same chunks without forming them (_blocks): if C_jc X = 0 at an
+    embedding modulo p for every (j, c), the identity gives A X = 0 there,
+    so the zero test keeps the bound of A (coeff_l1_bound).  A true null
+    vector of A has C_jc X = (V (x) U)* A X / n^4 = 0, so nothing valid is
+    rejected.  Exact systems read G modulo p from the residues of H and
+    never build the complex G tensor.
     """
 
     def __init__(self, h, k, l):
@@ -601,38 +669,81 @@ class _HomSystem:
         else:
             self.coeff_l1_bound = None
 
-    def _blocks(self, g4, hm, hc, X, s1, s2, p):
-        """The chunks C_jc times X, one block per start column j.
+    @staticmethod
+    def _factors(hm, hc):
+        """starts[m, b, j] = H_mj conj(H_bj), ends[c, m, b] =
+        conj(H_mc) H_bc."""
+        return (hm[:, None, :] * hc[None, :, :],
+                (hc[:, None, :] * hm[None, :, :]).transpose(2, 0, 1))
 
-        hm and hc are H and its conjugate (residues modulo p, or complex).
-        X has shape (ncols, nvec); column v is vec(T_v) for T_v of shape
-        n^l x n^k, and C_jc applied to T is s1*T*C1_jc - s2*C2_jc*T for
-        C1, C2 the chains of k and l steps.  C1^T is a chain of G with the
-        m and b axes swapped, whose start and end factors transpose with
-        them.  The block of j stacks the chunks (j, 0..n-1) times X, ordered
-        (c, I, J) with chunk row I*n^k + J, so at X = I it is those n
-        chunks.  Modulo p (X in [0, p)) s1 and s2 are multipliers, the
-        chains are left below n p^2 and the block is reduced; with p None
-        the arithmetic is complex.
+    def _rows(self, g4, hm, hc, s1, s2, p):
+        """The n^2 chunks C_jc, in (j, c) order, c fastest.
+
+        hm and hc are H and its conjugate (int64 residues modulo p, or
+        complex with p None).  C_jc applied to T is s1*T*C1_jc - s2*C2_jc*T
+        for C1, C2 the chains of k and l steps, so on vec(T), row
+        I*n^k + J, C_jc = s1 (I (x) K1_jc) - s2 (K2_jc (x) I) with
+        K1 = C1^T, a chain of G with the m and b axes swapped, whose start
+        and end factors transpose with them.  s1 and s2 ride on the start
+        factors (and on delta_jc at zero steps).  Modulo p every entry is
+        brought into [0, p) and the chunk is int64.
+        """
+        n, k, l = self.n, self.k, self.l
+        nk, nl = n ** k, n ** l
+        starts, ends = self._factors(hm, hc)
+        if p is not None:
+            starts %= p
+            ends %= p
+        eye = np.eye(n, dtype=g4.dtype)
+        g4t = g4.transpose(2, 3, 0, 1)
+        ends_t = ends.transpose(0, 2, 1)
+        for j in range(n):
+            start = starts[:, :, j]
+            K1 = _chain_matrices(g4t, k, s1 * start.T, ends_t, s1 * eye[j], p)
+            K2 = _chain_matrices(g4, l, s2 * start, ends, s2 * eye[j], p)
+            for c in range(n):
+                chunk = np.zeros((nl, nk, nl, nk), dtype=g4.dtype)
+                # writable diagonal views: [I, J, J'] and [I, I', J]
+                np.einsum("ijik->ijk", chunk)[...] = K1[c]
+                right = np.einsum("ijkj->ikj", chunk)
+                right -= K2[c][:, :, None]
+                if p is not None:
+                    right %= p
+                yield chunk.reshape(self.ncols, self.ncols)
+
+    def _blocks(self, g4, hm, hc, X, s1, s2, p):
+        """The chunks C_jc times X modulo p, one block per start column j.
+
+        g4, hm, hc (G, H and conj(H)) and X of shape (ncols, nvec) are
+        float64 residues in [0, p); column v of X is vec(T_v) for T_v of
+        shape n^l x n^k, and C_jc applied to T is s1*T*C1_jc - s2*C2_jc*T
+        (_rows).  The block of j stacks the chunks (j, 0..n-1) times X,
+        ordered (c, I, J) with chunk row I*n^k + J, so that it equals those
+        chunks times X.  Every sum is brought back into [0, p) by
+        reduce_mod, whose bound is |a| <= 2^53 - 2p.  s1 T and s2 T are
+        products below p^2; a chain step sums n products of at most
+        (p-1)^2 (_chain_apply); the two chains' unreduced end sums lie in
+        [0, n (p-1)^2], and so does the absolute value of their difference.
+        A chain with a step exists only when k + l >= 1, where
+        ncols = n^(k+l) >= n and the engine's primes have
+        (ncols + 1) p^2 <= 2^53, so
+        n (p-1)^2 + 2p = n p^2 - (2n - 2) p + n <= (n + 1) p^2 <= 2^53,
+        as p^2 + (2n - 2) p - n >= n - 1 >= 0.  At zero steps a chain is
+        delta_jc times the reduced s T, below p.
         """
         n, k, l = self.n, self.k, self.l
         nk, nl = n ** k, n ** l
         nvec = X.shape[1]
         X = X.reshape(nl, nk, nvec)
         # the scalars s1, s2 ride on T, where they cost n^(k+l) products
-        T1 = s1 * X.transpose(1, 0, 2)
-        T2 = s2 * X
-        # starts[m, b, j] = H_mj conj(H_bj), ends[c, m, b] = conj(H_mc) H_bc
-        starts = hm[:, None, :] * hc[None, :, :]
-        ends = (hc[:, None, :] * hm[None, :, :]).transpose(2, 0, 1)
-        if p is not None:
-            for factor in (T1, T2, starts, ends):
-                factor %= p
-        T1 = np.ascontiguousarray(T1).reshape(nk, -1)
-        T2 = T2.reshape(nl, -1)
+        T1 = reduce_mod(s1 * X.transpose(1, 0, 2), p).reshape(nk, -1)
+        T2 = reduce_mod(s2 * X, p).reshape(nl, -1)
+        starts, ends = self._factors(hm, hc)
+        for factor in (starts, ends):
+            reduce_mod(factor, p)
         g4t = np.ascontiguousarray(g4.transpose(2, 3, 0, 1))
         ends_t = ends.transpose(0, 2, 1)
-        eye = np.eye(n, dtype=g4.dtype)
+        eye = np.eye(n)
         for j in range(n):
             start = starts[:, :, j]
             # right[c, J, (I, v)] = (T C1_jc)[I, J], left[c, I, (J, v)]
@@ -640,9 +751,7 @@ class _HomSystem:
             left = _chain_apply(g4, l, start, ends, eye[j], T2, p)
             right = right.reshape(n, nk, nl, nvec).transpose(0, 2, 1, 3)
             block = right - left.reshape(n, nl, nk, nvec)
-            if p is not None:
-                block %= p
-            yield block.reshape(-1, nvec)
+            yield reduce_mod(block, p).reshape(-1, nvec)
 
     def _modp_factors(self, p, root):
         """G, H and conj(H) at the embedding zeta -> root modulo p.
@@ -659,31 +768,26 @@ class _HomSystem:
         return g4, hm, hc
 
     def chunks_modp(self, p, root):
-        X = np.eye(self.ncols, dtype=np.int64)
-        for block in self._blocks(*self._modp_factors(p, root), X,
-                                  pow(self.n, self.s1_pow, p),
-                                  pow(self.n, self.s2_pow, p), p):
-            yield from np.split(block, self.n)
+        return self._rows(*self._modp_factors(p, root),
+                          pow(self.n, self.s1_pow, p),
+                          pow(self.n, self.s2_pow, p), p)
 
     def chunks_complex(self):
         # n^2 C_jc against the defining divisors n^(k+1), n^(l+1)
         hm = self.h.entries
-        X = np.eye(self.ncols, dtype=np.complex128)
-        for block in self._blocks(g_tensor(self.h), hm, hm.conj(), X,
-                                  self.n ** (1 - self.k),
-                                  self.n ** (1 - self.l), None):
-            yield from np.split(block, self.n)
+        return self._rows(g_tensor(self.h), hm, hm.conj(),
+                          self.n ** (1 - self.k), self.n ** (1 - self.l), None)
 
     def residuals_modp(self, p, root, X):
         """Residuals C_jc·X mod p of the stream's chunks, rows unbuilt.
 
-        X has shape (ncols, nvec) with entries in [0, p).  One block is
-        yielded per start column j (_blocks).  By the class identity the
-        defining residuals are sum_{j,c} v_j u_c (C_jc X), so blocks that
-        vanish make A·X vanish.
+        X has shape (ncols, nvec) with entries in [0, p).  One float64
+        block is yielded per start column j (_blocks).  By the class
+        identity the defining residuals are sum_{j,c} v_j u_c (C_jc X), so
+        blocks that vanish make A·X vanish.
         """
-        return self._blocks(*self._modp_factors(p, root),
-                            np.asarray(X, dtype=np.int64),
+        factors = (f.astype(np.float64) for f in self._modp_factors(p, root))
+        return self._blocks(*factors, np.asarray(X, dtype=np.float64),
                             pow(self.n, self.s1_pow, p),
                             pow(self.n, self.s2_pow, p), p)
 

@@ -99,9 +99,19 @@ def factorize(m):
 
 
 # order -> (mod, r): m is a norm from Z[zeta_order] iff every prime
-# p = r (mod mod), inert there, occurs in m to an even power.  That is the
-# sum of two squares at order 4 and the Eisenstein norms at orders 3 and 6.
-_INERT = {4: (4, 3), 3: (3, 2), 6: (3, 2)}
+# p = r (mod mod), inert there, occurs in m to an even power.  That is a
+# square at orders 1 and 2 (every prime counts), the sum of two squares at
+# order 4 and the Eisenstein norms at orders 3 and 6.
+_INERT = {1: (1, 0), 2: (1, 0), 4: (4, 3), 3: (3, 2), 6: (3, 2)}
+
+
+def factored_norm_solvable(order, factors):
+    """hermitian_norm_solvable for the m whose factorization is {p: e}."""
+    if order not in _INERT:
+        return NormVerdict.INCONCLUSIVE
+    mod, r = _INERT[order]
+    odd = any(p % mod == r and e % 2 for p, e in factors.items())
+    return NormVerdict.UNSOLVABLE if odd else NormVerdict.SOLVABLE
 
 
 def hermitian_norm_solvable(order, m):
@@ -112,14 +122,11 @@ def hermitian_norm_solvable(order, m):
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if order in (1, 2):
+    if order in (1, 2):  # a square: isqrt spares the factorization
         r = math.isqrt(m)
         return NormVerdict.SOLVABLE if r * r == m else NormVerdict.UNSOLVABLE
-    if order in _INERT:
-        mod, r = _INERT[order]
-        odd = any(p % mod == r and e % 2 for p, e in factorize(m).items())
-        return NormVerdict.UNSOLVABLE if odd else NormVerdict.SOLVABLE
-    return NormVerdict.INCONCLUSIVE
+    return factored_norm_solvable(order,
+                                  factorize(m) if order in _INERT else {})
 
 
 def hermitian_norm_witness(order, m, bound=None):

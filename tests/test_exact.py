@@ -10,9 +10,10 @@ is off by one coefficient.  The prime loop must outvote a prime that moves a
 pivot.
 
 A lift must take as many primes as its reconstruction needs, folding each
-into its CRT residue once.  The pool's four-base primality test and the
-level-2 root shortcut must give the primes and roots of the twelve-base
-test and the plain search.  The certified inverse of an integer matrix
+into its CRT residue once, and must keep int64 vectors where every entry
+fits and Python integers where one does not.  The pool's four-base
+primality test and the level-2 root shortcut must give the primes and
+roots of the twelve-base test and the plain search.  The certified inverse of an integer matrix
 is read from the certified nullspace of [G | I]: it must skip a prime
 that divides the determinant and must not accept a reconstruction that
 fails verification; Fraction Gauss-Jordan is its oracle.  The streaming
@@ -23,6 +24,8 @@ come to 2^53; the float64 reduction under it must agree with
 Python-integer % up to its bound.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import islice
 
@@ -33,10 +36,12 @@ import qperm._exact as _exact
 from qperm._exact import (
     ModRREF,
     _eval_vectors_mod,
+    _l1_max,
     _verify_basis,
     _wang,
     certified_inverse,
     certified_nullity,
+    crt_combine,
     embedding_roots,
     fraction_matrix_inverse,
     is_prime,
@@ -155,6 +160,7 @@ def test_a_lift_takes_as_many_primes_as_reconstruction_needs():
     cert = certified_nullity(_IntegerRows([[q, r]]))
     assert cert.dim == 1
     assert [b.tolist() for b in cert.basis] == [[[-r], [q]]]
+    assert cert.basis[0].dtype == object
     assert cert.tags == ["verify-primes=4", "verify-primes=6",
                          "verify-primes=7", "verify-primes=8",
                          "lift-primes=8"]
@@ -175,6 +181,63 @@ def test_a_lift_folds_each_prime_once(monkeypatch):
     cert = certified_nullity(_IntegerRows([[q, r]]))
     assert cert.tags[-1] == "lift-primes=8"
     assert calls == list(islice(prime_pool(1, 2), 8))
+
+
+# sha256 of the JSON of [v.tolist() for v in basis], as the parent of the
+# int64 bases computed them with Python-integer vectors
+F4_K4_BASIS_SHA256 = (
+    "ffad8c339848a4611e96681652d6b078b4ad2cb7894bbc6ebf039b5ee4a01e31")
+
+
+def test_f4_certificates_keep_their_vectors_in_int64():
+    """The Fix certificate of F4 at k = 4 and the Hom (0, 4) certificate of
+    its prime loop hold int64 vectors with the entries they held as Python
+    integers."""
+    h = fourier(4)
+    for dim, info in (fix_dim_direct(h, 4, return_info=True),
+                      hom_dim_via_g(h, 0, 4, return_info=True)):
+        assert (dim, info["tags"]) == (64, ["verify-primes=1",
+                                            "lift-primes=1"])
+        assert {b.dtype for b in info["basis"]} == {np.dtype(np.int64)}
+        text = json.dumps([b.tolist() for b in info["basis"]])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            F4_K4_BASIS_SHA256
+
+
+def test_l1_bound_is_exact_beyond_int64():
+    """||x||_1 of int64 vectors is summed without wrapping: four entries of
+    2^62 sum to 2^64, and |-2^63| is read as 2^63."""
+    X = np.full((2, 3, 4), 1 << 62, dtype=np.int64)
+    X[1, 2, 1] = -(1 << 63)
+    assert _l1_max(X) == 3 * (1 << 62) + (1 << 63)
+    X[1, 2, 1] = 1
+    assert _l1_max(X) == 1 << 64
+    assert _l1_max(X.astype(object) << 10) == 1 << 74
+    assert _l1_max(np.array([[[3, -4, 0]]])) == 7
+
+
+@pytest.mark.parametrize("level", [1, 4, 5, 210])
+def test_vandermonde_solve_inverts_the_embedding_matrix(level):
+    """At phi(l) embedding roots modulo the largest pool prime (phi(210) =
+    48), V c = rhs holds in Python integers for the int64 solution."""
+    p = next(prime_pool(level, 1))
+    roots = embedding_roots(p, level)
+    rhs = np.random.default_rng(level).integers(0, p, (len(roots), 7))
+    got = solve_mod_vandermonde(roots, rhs, p)
+    assert got.dtype == np.int64 and got.shape == rhs.shape
+    assert ((0 <= got) & (got < p)).all()
+    for x, row in zip(roots, rhs.tolist()):
+        for col, want in enumerate(row):
+            assert sum(int(c) * pow(x, e, p) for e, c in
+                       enumerate(got[:, col])) % p == want
+
+
+def test_first_crt_fold_keeps_the_residues():
+    res = np.array([3, 0, 5], dtype=np.int64)
+    got, modulus = crt_combine(0, 1, res, 7)
+    assert got is res and modulus == 7
+    got, modulus = crt_combine(got, 7, np.array([1, 2, 10]), 11)
+    assert modulus == 77 and got.tolist() == [45, 35, 54]
 
 
 def test_eval_vectors_is_exact_for_large_coefficients():

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from qperm.errors import MalformedMatrix, ParseError, UnknownName
 from qperm.hadamard import (
     RULE_ORDER,
     Hadamard,
+    RuleVerdict,
     _catalog_witness,
     _orthogonal_rows,
     _zero_sum_pool,
@@ -627,6 +629,21 @@ def test_obstruction_rules_match_their_definitions():
     assert obstructions(7, 50)[3].obstructs
     assert obstructions(10, 4 * 7 ** 2)[4].obstructs
     assert not obstructions(10, 4 * 5)[4].obstructs
+
+
+def test_de_launey_at_a_large_order_reads_the_factors_of_n():
+    """v_p(n^n) = n v_p(n): the rule never factors n^n, which took seconds
+    at n = 16 000 by trial division.  16 000 = 2^7 5^3 has no prime
+    3 (mod 4), so 16 000^16 000 is a sum of two squares.  At level 2, n^n
+    is a square exactly when n is even or a square: 10 001 = 73 * 137 is
+    neither, 10 000 is both."""
+    start = time.perf_counter()
+    got = obstructions(16000, 4)[2]
+    assert time.perf_counter() - start < 0.5
+    assert got == RuleVerdict("DeLauney", True, False, "16000^16000 is a "
+                              "norm in the order-4 cyclotomic integers")
+    assert obstructions(10001, 2)[2].obstructs
+    assert not obstructions(10000, 2)[2].obstructs
 
 
 def test_obstruction_table_shape():

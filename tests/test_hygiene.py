@@ -88,25 +88,27 @@ def _class_methods(tree, name):
 
 
 @pytest.mark.parametrize("cls,calls", [
-    ("_HomSystem", {"chunks_modp": ["_blocks"], "chunks_complex": ["_blocks"],
+    ("_HomSystem", {"chunks_modp": ["_rows"], "chunks_complex": ["_rows"],
                     "residuals_modp": ["_blocks"]}),
-    ("_FixSystem", {"chunks_modp": ["_blocks", "_trace_chunks"],
-                    "chunks_complex": ["_blocks"],
+    ("_FixSystem", {"chunks_modp": ["_rows", "_trace_chunks"],
+                    "chunks_complex": ["_rows"],
                     "residuals_modp": ["_blocks"]}),
 ], ids=["_HomSystem", "_FixSystem"])
 def test_system_has_one_contraction(cls, calls):
-    """A system's rows are its residual blocks at X = I: its streams and
-    its residuals call _blocks (the Fix stream also _trace_chunks for exact
-    magic inputs), no _chunks is left, and quantum defines no GTensor
-    class and no g_power."""
+    """A system's streams form its rows as chain or block products (_rows;
+    the Fix stream also _trace_chunks for exact magic inputs) and never
+    contract against an identity: only its residuals call the contraction
+    _blocks.  No _chunks is left, and quantum defines no GTensor class and
+    no g_power."""
     path = PACKAGE / "quantum.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     methods = _class_methods(tree, cls)
     assert "_chunks" not in methods
     for name, callees in calls.items():
-        for callee in callees:
-            assert any(isinstance(sub, ast.Attribute) and sub.attr == callee
-                       for sub in ast.walk(methods[name])), (name, callee)
+        called = {sub.attr for sub in ast.walk(methods[name])
+                  if isinstance(sub, ast.Attribute)}
+        assert set(callees) <= called, (name, callees)
+        assert ("_blocks" in called) == (name == "residuals_modp"), name
     assert not {node.name for node in tree.body
                 if isinstance(node, (ast.ClassDef, *FUNCTION))} & {
         "GTensor", "g_power"}
@@ -116,6 +118,7 @@ def test_system_has_one_contraction(cls, calls):
     ("_exact.py", "ModRREF", "process"),
     ("_exact.py", "_InverseSystem", "residuals_modp"),
     ("quantum.py", "_FixSystem", "_blocks"),
+    ("quantum.py", "_HomSystem", "_blocks"),
 ])
 def test_float_reductions_use_reduce_mod(module, cls, method):
     """The float64 sums of residue products are reduced by

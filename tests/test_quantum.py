@@ -469,6 +469,66 @@ def test_hom_residuals_run_one_chain_pair_per_start_column(
         assert sorted(calls) == sorted([k, l] * h.n)
 
 
+def _python_stream_chunk(system, p, root, j, c):
+    """The chunk C_jc modulo p, entry by entry in Python integers.
+
+    C_jc[(I, J), (I', J')] = s1 delta_II' C1[J', J] - s2 C2[I, I'] delta_JJ'
+    for the chains C1, C2 of k and l steps that start at H_.j conj(H_.j),
+    end at conj(H_.c) H_.c and are delta_jc at zero steps."""
+    h, n, level = system.h, system.n, system.level
+    rp = [pow(root, t, p) for t in range(level)]
+    H = [[rp[e % level] for e in row] for row in h.exponents.tolist()]
+    Hc = [[rp[-e % level] for e in row] for row in h.exponents.tolist()]
+    G = {(i, a, jj, b): sum(H[i][x] * Hc[jj][x] * Hc[a][x] * H[b][x]
+                            for x in range(n)) % p
+         for i, a, jj, b in itertools.product(range(n), repeat=4)}
+
+    def chain(M, B):
+        if not M:
+            return int(j == c)
+        v = H[M[0]][j] * Hc[B[0]][j]
+        for t in range(1, len(M)):
+            v = v * G[M[t], M[t - 1], B[t], B[t - 1]] % p
+        return v * Hc[M[-1]][c] * H[B[-1]][c] % p
+
+    s1, s2 = pow(n, system.s1_pow, p), pow(n, system.s2_pow, p)
+    legs_k = list(itertools.product(range(n), repeat=system.k))
+    legs_l = list(itertools.product(range(n), repeat=system.l))
+    return [[(s1 * (I == I2) * chain(J2, J) - s2 * chain(I, I2) * (J == J2))
+             % p for I2 in legs_l for J2 in legs_k]
+            for I in legs_l for J in legs_k]
+
+
+@pytest.mark.parametrize("h,k,l", [(fourier(3), 0, 3), (tao(), 1, 1),
+                                   (tao(), 0, 2)],
+                         ids=["fourier(3)-0-3", "tao-1-1", "tao-0-2"])
+def test_hom_rows_and_residuals_near_the_float64_bound(h, k, l):
+    """At the largest prime of the system's pool, with X = p - 1 in every
+    entry of one column and just below p in the other, the float64 chain
+    sums come closest to 2^53.  The rows and the residuals equal the
+    chunks C_jc built in Python integers, and C_jc @ X there.  The G of a
+    Fourier matrix holds only 0 and n; tao at (0, 2) takes a chain step
+    through residues of every size."""
+    system = _HomSystem(h, k, l)
+    p = _first_prime(system)
+    X = np.full((system.ncols, 2), p - 1, dtype=np.int64)
+    X[:, 1] -= np.random.default_rng([h.n, k, l]).integers(0, 1 << 10,
+                                                             system.ncols)
+    cols = X.T.tolist()
+    for root in embedding_roots(p, h.level):
+        chunks = list(system.chunks_modp(p, root))
+        blocks = list(system.residuals_modp(p, root, X))
+        for (j, c), chunk in zip(itertools.product(range(h.n), repeat=2),
+                                 chunks):
+            want = _python_stream_chunk(system, p, root, j, c)
+            assert chunk.dtype == np.int64
+            assert chunk.tolist() == want, (root, j, c)
+            got = blocks[j].reshape(h.n, system.ncols, 2)[c]
+            assert got.tolist() == [
+                [sum(a * x for a, x in zip(row, col)) % p for col in cols]
+                for row in want], (root, j, c)
+
+
 FIX_RESIDUAL_MAGICS = [(name, magic_from_hadamard(h)) for name, h in [
     ("F2", fourier(2)), ("F3", fourier(3)), ("F4", fourier(4)),
     ("F5", fourier(5)), ("tao", tao()), ("haagerup", haagerup(Fraction(1, 4))),
@@ -650,8 +710,9 @@ def test_rank_two_magic_takes_the_traced_chain(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_non_magic_exact_input_keeps_the_full_rows(k):
-    """An exact grid that fails check_magic streams all n^k d^2 full rows
-    and certifies full rank, as the full rows always did."""
+    """An exact grid that fails check_magic streams all n^k d^2 full rows,
+    reduced into [0, p), and certifies full rank, as the full rows always
+    did."""
     u = magic_from_hadamard(fourier(5))
     coeffs = u.coeffs.copy()
     coeffs[0, 1, 2, 3, 0] += 1
@@ -660,8 +721,9 @@ def test_non_magic_exact_input_keeps_the_full_rows(k):
     assert not system.traced
     p = _first_prime(system)
     for root in embedding_roots(p, 5):
-        rows = sum(c.shape[0] for c in system.chunks_modp(p, root))
-        assert rows == 5 ** k * 25
+        chunks = list(system.chunks_modp(p, root))
+        assert sum(c.shape[0] for c in chunks) == 5 ** k * 25
+        assert all(((0 <= c) & (c < p)).all() for c in chunks), root
     cert = certified_nullity(system)
     assert (cert.dim, cert.tags) == (0, ["full-rank"])
 

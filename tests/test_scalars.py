@@ -10,6 +10,7 @@ from qperm.scalars import (
     NormVerdict,
     _GAP_FACTOR,
     _tolerance_keys,
+    factored_norm_solvable,
     factorize,
     hermitian_norm_solvable,
     hermitian_norm_witness,
@@ -27,6 +28,13 @@ def test_norm_solvable_matches_bruteforce(order):
 
 def test_norm_inconclusive_outside_euclidean_orders():
     assert hermitian_norm_solvable(5, 10) is NormVerdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+def test_norm_verdict_from_the_factors_matches_m(order):
+    for m in range(1, 300):
+        assert factored_norm_solvable(order, factorize(m)) is \
+            hermitian_norm_solvable(order, m), m
 
 
 def test_factorize_and_phi():
