@@ -152,7 +152,8 @@ def _family(tok):
 
 
 def _count(tok):
-    """argparse type for a nonnegative integer (orders, sample counts)."""
+    """argparse type for a nonnegative integer (orders, sample counts,
+    search budgets)."""
     if not _INT_RE.match(tok) or int(tok) < 0:
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer, got {tok!r}")
@@ -394,6 +395,8 @@ def _cmd_butson_enum(args):
 
 
 def _cmd_obstruct(args):
+    if args.l < 2:
+        raise UsageError("--l must be at least 2")
     rules = obstructions(args.n, args.l)
     strongest = strongest_obstruction(args.n, args.l)
     warnings = [f"{r.rule}: {r.detail}" for r in rules
@@ -644,14 +647,14 @@ def build_parser():
     sp.add_argument("--max-order", type=_positive, default=8)
     sp = new("butson-enum", _cmd_butson_enum,
              "enumerate dephased Butson matrices")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
+    sp.add_argument("--n", type=_positive, required=True)
+    sp.add_argument("--l", type=_positive, required=True)
     sp.add_argument("--mode", choices=("any_witness", "all_dephased_classes"),
                     default="any_witness")
-    sp.add_argument("--budget", type=int, default=10_000_000)
+    sp.add_argument("--budget", type=_count, default=10_000_000)
     sp = new("obstruct", _cmd_obstruct, "run emptiness rules for H_n(l)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
+    sp.add_argument("--n", type=_positive, required=True)
+    sp.add_argument("--l", type=_positive, required=True)
     sp = new("table", _cmd_table, "existence/obstruction grid")
     sp.add_argument("--nmax", type=_positive, required=True)
     sp.add_argument("--lmax", type=_positive, required=True)

@@ -93,6 +93,15 @@ def test_exit_code_matrix(tmp_path):
         (["table", "--nmax", "0", "--lmax", "3"], 2),
         (["table", "--nmax", "1", "--lmax", "3"], 2),
         (["table", "--nmax", "3", "--lmax", "1"], 2),
+        (["butson-enum", "--n", "0", "--l", "2"], 2),
+        (["butson-enum", "--n", "3", "--l", "0"], 2),
+        (["butson-enum", "--n", "3", "--l", "2", "--budget", "-1"], 2),
+        (["butson-enum", "--n", "3", "--l", "2", "--budget", "0"], 0),
+        (["butson-enum", "--n", "9", "--l", "2"], 1),
+        (["obstruct", "--n", "0", "--l", "2"], 2),
+        (["obstruct", "--n", "3", "--l", "0"], 2),
+        (["obstruct", "--n", "3", "--l", "1"], 2),
+        (["obstruct", "--n", "1", "--l", "2"], 0),
     ]
     for argv, expected in cases:
         proc = run_cli(*argv)
@@ -247,11 +256,14 @@ def test_butson_enum_payload():
 @pytest.mark.parametrize("argv", [["--n", "0", "--l", "2"],
                                   ["--n", "3", "--l", "2", "--budget", "-1"]])
 def test_butson_enum_rejects_bad_inputs(argv):
+    """A size below its range is a usage error, caught by the parser
+    before the library runs: exit 2, the argument named on stderr and
+    no envelope."""
     proc = run_cli("butson-enum", *argv)
-    env = json.loads(proc.stdout)
-    assert proc.returncode == 1
-    assert env["error"] == {"type": "ValueError",
-                            "message": "need n >= 1, l >= 1 and budget >= 0"}
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    bad = "--n" if argv[1] == "0" else "--budget"
+    assert f"argument {bad}: expected a " in proc.stderr
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

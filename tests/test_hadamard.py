@@ -13,12 +13,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qperm.errors import MalformedMatrix, ParseError, UnknownName
+import qperm.hadamard as hadamard_module
+from qperm.errors import (
+    MalformedMatrix,
+    OrderTooLarge,
+    ParseError,
+    UnknownName,
+)
 from qperm.hadamard import (
     RULE_ORDER,
     Hadamard,
     RuleVerdict,
     _catalog_witness,
+    _form_keys,
+    _orbit_keys,
     _orthogonal_rows,
     _zero_sum_pool,
     bjorck_froberg,
@@ -345,6 +353,136 @@ def test_butson_enumerate_rejects_bad_inputs(n, lev, budget):
     for mode in ("any_witness", "all_dephased_classes"):
         with pytest.raises(ValueError, match="need n >= 1"):
             butson_enumerate(n, lev, mode=mode, budget=budget)
+
+
+@pytest.mark.parametrize("n, lev", [(9, 2), (7, 7), (9, 7)])
+def test_both_modes_share_one_order_bound(n, lev):
+    for mode in ("any_witness", "all_dephased_classes"):
+        with pytest.raises(OrderTooLarge, match="n<=8, l<=6"):
+            butson_enumerate(n, lev, mode=mode)
+
+
+def test_class_mode_reaches_order_eight():
+    # every real Hadamard matrix of order 8 is equivalent to F2 (x) F2 (x) F2
+    res = butson_enumerate(8, 2, mode="all_dephased_classes")
+    f2 = fourier(2)
+    assert (res.nodes, res.configurations, len(res.matrices)) == (3215, 30, 1)
+    assert equivalent(res.matrices[0], tensor(tensor(f2, f2), f2))
+    assert butson_enumerate(7, 4, mode="all_dephased_classes").matrices == []
+
+
+def _classes_by_pairwise_search(configs, lev):
+    """The class deduplication by fingerprint buckets and pairwise
+    `equivalent`, kept as the oracle of the orbit keys."""
+    buckets = {}
+    reps = []
+    for i, e in enumerate(configs):
+        h = Hadamard(exponents=e, level=lev)
+        bucket = buckets.setdefault(fingerprint(h), [])
+        if not any(equivalent(h, rep) for rep in bucket):
+            bucket.append(h)
+            reps.append(i)
+    return reps
+
+
+def test_class_mode_matches_the_pairwise_oracle(monkeypatch):
+    seen = []
+    real = hadamard_module._class_representatives
+
+    def spy(configs, lev):
+        seen.append(configs)
+        return real(configs, lev)
+
+    monkeypatch.setattr(hadamard_module, "_class_representatives", spy)
+    for n in range(1, 7):
+        for lev in range(1, 7):
+            seen.clear()
+            res = butson_enumerate(n, lev, mode="all_dephased_classes")
+            got = [h.exponents.tolist() for h in res.matrices]
+            if n == 1:
+                assert not seen and got == [[[0]]]
+                continue
+            [configs] = seen
+            assert len(configs) == res.configurations
+            want = [configs[i].tolist()
+                    for i in _classes_by_pairwise_search(configs, lev)]
+            assert got == want, (n, lev)
+            for a, b in itertools.combinations(res.matrices, 2):
+                assert not equivalent(a, b), (n, lev)
+
+
+def test_configuration_keys_increase_in_search_order(monkeypatch):
+    seen = []
+    real = hadamard_module._class_representatives
+    monkeypatch.setattr(hadamard_module, "_class_representatives",
+                        lambda configs, lev: seen.append(configs)
+                        or real(configs, lev))
+    butson_enumerate(6, 6, mode="all_dephased_classes")
+    [configs] = seen
+    codes = configs[:, 1:, 1:] @ 6 ** np.arange(4, -1, -1)
+    assert (np.diff(codes, axis=1) > 0).all()
+    rows = [tuple(c) for c in codes.tolist()]
+    assert rows == sorted(set(rows))
+
+
+def test_class_mode_calls_neither_fingerprint_nor_equivalent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("class mode called the pairwise search")
+
+    monkeypatch.setattr(hadamard_module, "fingerprint", refuse)
+    monkeypatch.setattr(hadamard_module, "equivalent", refuse)
+    for n, lev, count in [(6, 4, 1), (4, 4, 2), (6, 6, 4)]:
+        res = butson_enumerate(n, lev, mode="all_dephased_classes")
+        assert len(res.matrices) == count
+
+
+@pytest.mark.parametrize("k, lev", [(5, 4), (5, 6), (7, 4), (7, 6)])
+def test_form_keys_order_as_code_rows(k, lev):
+    rng = np.random.default_rng(k * lev)
+    codes = rng.integers(0, lev ** k, (400, k))
+    codes[::7, :-1] = codes[0, :-1]        # rows that differ in one code
+    codes[1::7] = codes[2::7]               # repeated rows
+    keys = _form_keys(codes, lev)
+    assert keys.shape == (400,)
+    ordered = np.array(sorted(map(tuple, codes.tolist())))
+    assert np.array_equal(np.sort(keys), _form_keys(ordered, lev))
+    same = keys[:, None] == keys[None, :]
+    assert np.array_equal(same, (codes[:, None] == codes[None, :]).all(-1))
+
+
+def _normal_key(h):
+    """h dephased at (0, 0), its columns kept and its rows sorted as
+    base-l codes, with the zero first row dropped."""
+    e = dephase(h).exponents
+    codes = np.sort(e[1:, 1:] @ h.level ** np.arange(h.n - 2, -1, -1))
+    return _form_keys(codes[None], h.level)
+
+
+def _orbit_cases():
+    f2 = fourier(2)
+    yield from (fourier(4), tensor(f2, f2), fourier(5), fourier(6), tao(),
+                haagerup(Fraction(0)), haagerup(Fraction(1, 4)))
+    for n, lev in [(7, 6), (8, 4)]:
+        yield butson_enumerate(n, lev).matrices[0]
+
+
+@pytest.mark.parametrize("h", list(_orbit_cases()),
+                         ids=lambda h: f"{h.provenance}-{h.level}")
+def test_every_move_is_a_form_with_the_same_table(h):
+    table = np.sort(_orbit_keys(h.exponents, h.level))
+    assert len(table) == h.n ** 2 * math.factorial(h.n - 1)
+    assert (table == _normal_key(h)).any()
+    for seed in range(3):
+        move = random_equivalent(h, seed)
+        assert (table == _normal_key(move)).any(), seed
+        assert np.array_equal(
+            np.sort(_orbit_keys(move.exponents, move.level)), table), seed
+
+
+def test_tao_and_f6_have_disjoint_tables():
+    a = _orbit_keys(tao().with_level(6).exponents, 6)
+    b = _orbit_keys(fourier(6).exponents, 6)
+    assert set(a.tolist()).isdisjoint(b.tolist())
 
 
 def test_table_witnesses_have_order_and_level():
