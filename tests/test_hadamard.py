@@ -385,7 +385,9 @@ def _classes_by_pairwise_search(configs, lev):
     return reps
 
 
-def test_class_mode_matches_the_pairwise_oracle(monkeypatch):
+def _recorded_configurations(monkeypatch):
+    """The list that collects each configuration stack `butson_enumerate`
+    hands to its class step."""
     seen = []
     real = hadamard_module._class_representatives
 
@@ -394,6 +396,11 @@ def test_class_mode_matches_the_pairwise_oracle(monkeypatch):
         return real(configs, lev)
 
     monkeypatch.setattr(hadamard_module, "_class_representatives", spy)
+    return seen
+
+
+def test_class_mode_matches_the_pairwise_oracle(monkeypatch):
+    seen = _recorded_configurations(monkeypatch)
     for n in range(1, 7):
         for lev in range(1, 7):
             seen.clear()
@@ -412,11 +419,7 @@ def test_class_mode_matches_the_pairwise_oracle(monkeypatch):
 
 
 def test_configuration_keys_increase_in_search_order(monkeypatch):
-    seen = []
-    real = hadamard_module._class_representatives
-    monkeypatch.setattr(hadamard_module, "_class_representatives",
-                        lambda configs, lev: seen.append(configs)
-                        or real(configs, lev))
+    seen = _recorded_configurations(monkeypatch)
     butson_enumerate(6, 6, mode="all_dephased_classes")
     [configs] = seen
     codes = configs[:, 1:, 1:] @ 6 ** np.arange(4, -1, -1)
