@@ -34,11 +34,16 @@ exact.  `zero_test_primes(l, w, B)` takes its leading primes until their
 product exceeds B, each with its embedding roots.  Verification below,
 the prime loop, the magic-unitary checks of `quantum` and the
 orthogonality and zero-sum checks of `hadamard` read only these two.
-`reduce_mod(a, p)` is the one float64 reduction: every float64
-sum of residue products that `ModRREF`, `_InverseSystem` and the Fix and
-Hom contractions and Fix rows of `quantum` form is brought back into
-[0, p) by it, exact for |a| <= 2^53 - 2p.  int64 sums keep `%`, and
-`_matmul_mod` splits an int64 product into partial sums below 2^63.
+`matmul_mod(a, b, p)` is the one product of residue arrays: it splits
+the contraction into partial sums short enough to stay exact, in float64
+or int64, and its docstring derives that length once.  The Fix rows, the
+Fix and Hom contractions and G modulo p of `quantum`, the Vandermonde
+solve and the embedding of vectors all sum through it.
+`reduce_mod(a, p)` is the one float64 reduction, exact for
+|a| <= 2^53 - 2p; outside `matmul_mod` only `ModRREF` and
+`_InverseSystem` sum residue products into it, as fused x - sum y z
+updates, and `quantum` reduces elementwise products of two residues.
+int64 sums keep `%`.
 
 A system A is never held whole.  It exposes `ncols`, `level`,
 `coeff_l1_bound` and two streams, both evaluated modulo a prime
@@ -87,7 +92,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationFailed, RankAmbiguous
-from .scalars import _GAP_FACTOR, factorize
+from .scalars import _GAP_FACTOR, DEFAULT_TOL, factorize
 
 # ---------------------------------------------------------------------------
 # small dense exact routines
@@ -284,18 +289,29 @@ def _reconstruct(res, modulus):
     return num, den
 
 
-def _matmul_mod(a, b, p):
-    """a @ b modulo p for int64 residues in [0, p), as int64 in [0, p).
+def matmul_mod(a, b, p):
+    """a @ b modulo p for residue arrays in [0, p), in [0, p).
 
-    The contraction runs in partial sums of at most `step` products below
-    (p-1)^2, each added to a reduced sum below p, so every int64 sum stays
-    below 2^63.
+    Broadcasts like np.matmul, batched operands and a 1-D b included; the
+    result has the dtype of a @ b.  This is the package's one split sum of
+    residue products.  Each product is at most (p-1)^2, so a partial sum of
+    `step` products, added to the reduced sum of the partial sums before
+    it, is at most step (p-1)^2 + p - 1.  float64 takes
+    step = floor((2^53 - 3p) / (p-1)^2), which keeps that within
+    2^53 - 2p - 1, reduce_mod's bound; int64 takes
+    step = floor((2^63 - p) / (p-1)^2), which keeps it within 2^63 - 1,
+    and reduces by %.  step >= 1 for every p <= 2^26, so for every prime
+    of the pool.
     """
-    step = ((1 << 63) - p) // (p - 1) ** 2
-    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    for s in range(0, a.shape[-1], step):
-        out = (out + a[..., s:s + step] @ b[s:s + step]) % p
-    return out
+    if b.ndim == 1:
+        return matmul_mod(a, b[:, None], p)[..., 0]
+    float64 = np.result_type(a, b) == np.float64
+    step = ((1 << 53) - 3 * p if float64 else (1 << 63) - p) // (p - 1) ** 2
+    out = a[..., :step] @ b[..., :step, :]
+    for s in range(step, a.shape[-1], step):
+        out = reduce_mod(out, p) if float64 else out % p
+        out += a[..., s:s + step] @ b[..., s:s + step, :]
+    return reduce_mod(out, p) if float64 else out % p
 
 
 def solve_mod_vandermonde(points, rhs, p):
@@ -304,7 +320,7 @@ def solve_mod_vandermonde(points, rhs, p):
     V is inverted once, by Lagrange interpolation in Python integers: with
     P(x) = prod_i (x - x_i), column i of V^-1 holds the coefficients of
     P(x) / ((x - x_i) P'(x_i)).  The inverse is applied to rhs as one int64
-    product (_matmul_mod).  Returns int64 residues of shape (m, k).
+    product (matmul_mod).  Returns int64 residues of shape (m, k).
     """
     xs = [int(x) % p for x in points]
     m = len(xs)
@@ -321,7 +337,7 @@ def solve_mod_vandermonde(points, rhs, p):
         scale = pow(math.prod(xi - x for k, x in enumerate(xs) if k != i)
                     % p, -1, p)
         inv[:, i] = [c * scale % p for c in quot]
-    return _matmul_mod(inv, np.mod(np.asarray(rhs), p).astype(np.int64), p)
+    return matmul_mod(inv, np.mod(np.asarray(rhs), p).astype(np.int64), p)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +466,10 @@ def _eval_vectors_mod(vectors, p, r, level):
     """Evaluate integer cyclo arrays (..., level) at zeta -> r mod p.
 
     Coefficients are reduced mod p first, in exact integers, and the sum
-    over the powers of r is one _matmul_mod.
+    over the powers of r is one matmul_mod.
     """
     red = np.mod(vectors, p).astype(np.int64, copy=False)
-    return _matmul_mod(red, _root_powers(r, p, level), p)
+    return matmul_mod(red, _root_powers(r, p, level), p)
 
 
 def _eliminate(system, p, r, target_rank=None):
@@ -668,12 +684,18 @@ def certified_inverse(rows):
 # ---------------------------------------------------------------------------
 
 
-def float_nullity(chunks, ncols, tol=1e-9):
+def float_nullity(chunks, ncols, tol=DEFAULT_TOL):
     """Nullity of a float system by SVD, guarded by a singular-value gap.
 
     Chunks are streamed; long streams are compressed on the fly into an
     ncols x ncols triangular factor by repeated QR, which preserves the
-    singular values without squaring the condition number.
+    singular values without squaring the condition number.  Values below
+    thresh = tol * max(sigma_max, 1) are dropped, and the smallest kept
+    value must be at least _GAP_FACTOR * thresh (RankAmbiguous otherwise),
+    so every dropped value is more than _GAP_FACTOR times smaller.  The
+    gap returned is that smallest kept value over thresh, a ratio that
+    does not depend on round-off; inf when nothing or everything is
+    dropped.
     """
     tri = None
     buf = []
@@ -697,21 +719,13 @@ def float_nullity(chunks, ncols, tol=1e-9):
     sv = np.concatenate([sv, np.zeros(max(0, ncols - len(sv)))])
     scale = max(sv[0], 1.0)
     thresh = tol * scale
-    small = sv < thresh
-    nullity = int(np.count_nonzero(small))
-    if nullity in (0, ncols):
-        # still require a safe margin against the threshold
-        if nullity == 0 and sv[-1] < _GAP_FACTOR * thresh:
-            raise RankAmbiguous(
-                f"smallest singular value {sv[-1]:.3e} too close to "
-                f"threshold {thresh:.3e}"
-            )
+    nullity = int(np.count_nonzero(sv < thresh))
+    if nullity == ncols:
         return nullity, math.inf
-    kept = sv[~small]
-    dropped = sv[small]
-    gap = kept.min() / max(dropped.max(), thresh / _GAP_FACTOR * 1e-6)
-    if kept.min() < _GAP_FACTOR * thresh or gap < _GAP_FACTOR:
+    gap = sv[ncols - nullity - 1] / thresh  # the smallest kept value
+    if gap < _GAP_FACTOR:
         raise RankAmbiguous(
-            f"singular-value gap {gap:.2f} below factor {_GAP_FACTOR}"
+            f"smallest kept singular value is {gap:.2f} times the "
+            f"threshold {thresh:.3e}, below factor {_GAP_FACTOR}"
         )
-    return nullity, float(gap)
+    return nullity, math.inf if nullity == 0 else float(gap)

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     SingularGram,
 )
-from .partitions import PartitionFamily, enum_partitions, gram_weingarten
+from .partitions import PartitionFamily, gram_weingarten
 from .quantum import MagicUnitary
 from .scalars import DEFAULT_TOL
 
@@ -175,7 +175,7 @@ def model_word_expectation(word, samples, seed):
 # ---------------------------------------------------------------------------
 
 
-def klein_fourier(u, tol=1e-9):
+def klein_fourier(u, tol=DEFAULT_TOL):
     """Orthogonal 3 x 3 grid obtained by the Klein-group Fourier twist.
 
     Conjugates the 4 x 4 block grid by the symmetric involution
@@ -218,7 +218,7 @@ class SO3Report:
         return self.ok
 
 
-def check_so3q_relations(a, tol=1e-9):
+def check_so3q_relations(a, tol=DEFAULT_TOL):
     """Verify skew-commutation, twisted determinant and orthogonality.
 
     Entries at distinct grid positions must commute when both indices
@@ -303,14 +303,8 @@ def free_hg_oracle(n, m, N, k):
         raise ValueError(f"block sizes n={n}, m={m} must lie in [0, N={N}]")
     if k == 0:
         return Fraction(1)
-    parts = enum_partitions(k, PartitionFamily.NONCROSSING)
     gw = gram_weingarten(PartitionFamily.NONCROSSING, k, N)
-    if gw.weingarten is None:
+    if gw.is_singular:
         raise SingularGram(f"free Gram matrix singular at k={k}, N={N}")
-    total = Fraction(0)
-    for ip, p in enumerate(parts):
-        np_ = Fraction(n) ** p.block_count
-        for iq, q in enumerate(parts):
-            total += np_ * Fraction(m) ** q.block_count \
-                * gw.weingarten[ip][iq]
-    return total
+    return gw.pairing([n ** p.block_count for p in gw.partitions],
+                      [m ** p.block_count for p in gw.partitions])

@@ -236,6 +236,16 @@ class GramWeingarten:
     def is_singular(self):
         return self.weingarten is None
 
+    def pairing(self, x, y):
+        """sum_ab x_a W[a][b] y_b over Fraction, for integer weights x and
+        y on the partitions; the terms of zero weight are skipped."""
+        total = Fraction(0)
+        for xa, row in zip(x, self.weingarten):
+            if xa:
+                total += xa * sum((w * yb for w, yb in zip(row, y) if yb),
+                                  Fraction(0))
+        return total
+
 
 @lru_cache(maxsize=None)
 def _join_sizes(k, family):
@@ -334,18 +344,8 @@ def integrate_monomial(family, n, i, j):
     gw = gram_weingarten(family, k, n)
     if gw.is_singular:
         raise SingularGram(f"Gram matrix singular for k={k}, n={n}")
-    parts = gw.partitions
-    di = [_delta(p, tuple(i)) for p in parts]
-    dj = [_delta(p, tuple(j)) for p in parts]
-    total = Fraction(0)
-    for a, pa in enumerate(parts):
-        if not di[a]:
-            continue
-        row = gw.weingarten[a]
-        for b, pb in enumerate(parts):
-            if dj[b]:
-                total += row[b]
-    return total
+    return gw.pairing([_delta(p, tuple(i)) for p in gw.partitions],
+                      [_delta(p, tuple(j)) for p in gw.partitions])
 
 
 def _gram_is_singular(family, k, n):

@@ -24,6 +24,7 @@ from ._exact import (
     _root_powers,
     certified_nullity,
     float_nullity,
+    matmul_mod,
     reduce_mod,
     zero_test_primes,
 )
@@ -296,8 +297,9 @@ def g_tensor(h):
     return np.einsum("ik,jk,ak,bk->iajb", ent, ent.conj(), ent.conj(), ent)
 
 
-def _chain_apply(G4, steps, start, ends, zero, Y, p=None):
-    """Chains from one start factor to a stack of end factors, times Y.
+def _chain_apply(G4, steps, start, ends, zero, Y, p):
+    """Chains from one start factor to a stack of end factors, times Y,
+    modulo p.
 
     The chain K_e of `steps` inner index pairs has, at (M, B) with
     M = (m_1..m_steps) and B = (b_1..b_steps) packed most-significant-first,
@@ -305,34 +307,27 @@ def _chain_apply(G4, steps, start, ends, zero, Y, p=None):
     ends[e, m_steps, b_steps]; at steps = 0 it is the scalar zero[e].
     Returns R[e, M, c] = sum_B K_e[M, B] * Y[B, c].  The chain is an
     operator of bond (m_t, b_t), and K is never formed: Y is multiplied by
-    the start factor, each G step is one batched matmul over the batch
+    the start factor, each G step is one batched product over the batch
     (m_{t-1}, b_t) contracting b_{t-1}, and the end factors are one batched
-    matmul over m_steps contracting b_steps.  Every matmul reads a strided
-    view of the array before it and writes the next one, so no step
-    copies.  Modulo p the operands are float64 residues in [0, p): the
-    start product is below p^2 and each step sums n products of at most
-    (p-1)^2; reduce_mod brings both back into [0, p), which needs
-    n (p-1)^2 <= 2^53 - 2p (_HomSystem._blocks proves it for the engine's
-    primes).  The end sums are left unreduced, below n (p-1)^2, for the
-    caller.  With p None the arithmetic is complex.
+    product over m_steps contracting b_steps.  Every product reads a
+    strided view of the array before it and writes the next one, so no
+    step copies.  The operands are float64 residues in [0, p); the start
+    products are reduced by reduce_mod and every sum is a matmul_mod, so R
+    lies in [0, p).
     """
     n = G4.shape[0]
     if steps == 0:
         return zero[:, None, None] * Y
     # W[a, b_t, m_t, rest]: a packs m_1..m_{t-1}, rest packs b_{t+1}.., c
-    W = start.T[None, :, :, None] * Y.reshape(1, n, 1, -1)
-    if p is not None:
-        reduce_mod(W, p)
+    W = reduce_mod(start.T[None, :, :, None] * Y.reshape(1, n, 1, -1), p)
     # Gb[m_t, b_t+1, m_t+1, b_t] = G[m_t+1, m_t, b_t+1, b_t]
     Gb = np.ascontiguousarray(G4.transpose(1, 2, 0, 3))
     for _ in range(steps - 1):
         a = W.shape[0]
         W = W.reshape(a, n, n, n, -1).transpose(0, 2, 3, 1, 4)
-        W = np.matmul(Gb, W)  # W[a, m_t, b_t+1, m_t+1, rest]
-        if p is not None:
-            reduce_mod(W, p)
+        W = matmul_mod(Gb, W, p)  # W[a, m_t, b_t+1, m_t+1, rest]
         W = W.reshape(a * n, n, n, -1)
-    out = np.matmul(ends.transpose(1, 0, 2), W.transpose(0, 2, 1, 3))
+    out = matmul_mod(ends.transpose(1, 0, 2), W.transpose(0, 2, 1, 3), p)
     return out.transpose(2, 0, 1, 3).reshape(len(ends), -1, out.shape[-1])
 
 
@@ -506,14 +501,10 @@ class _FixSystem:
         c, whose product is W of the next site as it lies in memory, so no
         sum runs over the zeros of an identity and the chunk is one
         transposed copy of the last W, minus corr at J = I and a = b.
-        Modulo p the bond is summed in groups of at most `group` products
-        of at most (p-1)^2, each added to the reduced sum of the groups
-        before: group (p-1)^2 + p - 1 <= 2^53 - 2p, reduce_mod's bound, and
-        group >= 1 since p <= 2^26.  After the corr subtraction an entry
-        lies in (-p, p).
+        Modulo p that matmul is a matmul_mod, and after the corr
+        subtraction an entry lies in (-p, p).
         """
         n, d, k = self.n, self.d, self.k
-        group = d if p is None else ((1 << 53) - 3 * p) // (p - 1) ** 2
         Qb = pm.transpose(2, 0, 1, 3).reshape(d, -1)  # [c, (i_t, j_t, b)]
         nsuf = n ** (k - 1)
         suf = np.arange(nsuf)[:, None]
@@ -524,13 +515,8 @@ class _FixSystem:
             W = pm[i1].transpose(1, 0, 2)
             for _ in range(1, k):
                 A, shape = W.reshape(-1, d), W.shape[:-1] + (n, n, d)
-                W = A[:, :group] @ Qb[:group]
-                for c in range(group, d, group):  # only modulo p
-                    reduce_mod(W, p)
-                    W += A[:, c:c + group] @ Qb[c:c + group]
-                if p is not None:
-                    reduce_mod(W, p)
-                W = W.reshape(shape)
+                W = (A @ Qb if p is None
+                     else matmul_mod(A, Qb, p)).reshape(shape)
             # a C-order copy, also at k = 1, where W is a view of pm
             rows = W.transpose(order).copy().reshape(nsuf, d, d, -1)
             del W  # free before the next chunk's product, not after
@@ -547,36 +533,26 @@ class _FixSystem:
         has shape (ncols, nvec) with entries in [0, p) and row (I, a, b)
         of A is sum_J (Q_{i_1 j_1} ... Q_{i_k j_k})_{ab} X[J] - corr X[I]
         delta_ab.  Site 1 gives W[i_1, a, c, J', v] = sum_j Q[i_1, j, a, c]
-        X[(j, J'), v]; each later site t contracts j_t and the bond c
+        X[(j, J'), v]; each later site t contracts the pair (c, j_t)
         against Q[i_t, j_t, c, b].  Between sites W is kept as
-        W[c, j_t, rest, I, a], so tensordot reads it without a copy and a
-        site holds at most two arrays the size of the block it yields.
-        Every sum is brought back into [0, p) by reduce_mod, whose bound is
-        |a| <= 2^53 - 2p.  Site 1 sums n products of at most (p-1)^2.  A
-        later site adds n such products per bond value, `group` bond
-        values at once, to the reduced sum of the groups before: at most
-        group n (p-1)^2 + p - 1 <= 2^53 - 2p - 1.  After the corr
-        subtraction W lies in (-p^2, p).  The engine's primes have
-        (n^k + 1) p^2 <= 2^53 and p >= 5, so n (p-1)^2 + 3p <= (n + 1) p^2
-        <= 2^53: group >= 1 and site 1 is in bound, n = 1 included.  The
-        block holds its rows (I, a, b) in order.
+        W[c, j_t, rest, I, a], so the pair is its leading axis, read
+        without a copy, and a site holds at most two arrays the size of the
+        block it yields.  Every sum is a matmul_mod; after the corr
+        subtraction W lies in (-p^2, p).  The block holds its rows
+        (I, a, b) in order.
         """
         n, d, k = self.n, self.d, self.k
         nvec = X.shape[1]
-        group = ((1 << 53) - 3 * p) // (n * (p - 1) ** 2)
         diag = np.arange(d)
-        axes = ([2, 1], [0, 1])
-        W = reduce_mod(np.tensordot(pm, X.reshape(n, -1), ([1], [0])), p)
+        W = matmul_mod(pm.transpose(0, 2, 3, 1).reshape(-1, n),
+                       X.reshape(n, -1), p).reshape(n, d, d, -1)
         if k > 1:  # W[I, a, c, J', v] -> W[c, J', v, I, a]
             W = np.ascontiguousarray(W.transpose(2, 3, 0, 1))
+        Qt = pm.transpose(0, 3, 2, 1).reshape(n * d, d * n)  # [(i, b), (c, j)]
         for t in range(1, k):
-            W = W.reshape((d, n, -1) + W.shape[2:])
-            acc = np.tensordot(pm[:, :, :group], W[:group], axes)
-            for c in range(group, d, group):
-                reduce_mod(acc, p)
-                acc += np.tensordot(pm[:, :, c:c + group], W[c:c + group],
-                                    axes)
-            reduce_mod(acc, p)
+            # acc[i_t, b, rest, I, a], with W[(c, j_t), (rest, I, a)]
+            acc = matmul_mod(Qt, W.reshape(d * n, -1), p)
+            acc = acc.reshape((n, d, -1) + W.shape[2:])
             del W
             # acc[i_t, b, rest, I, a] -> W[b, rest, (I, i_t), a], and
             # after the last site -> W[(I, i_t), a, b, v]
@@ -719,17 +695,10 @@ class _HomSystem:
         shape n^l x n^k, and C_jc applied to T is s1*T*C1_jc - s2*C2_jc*T
         (_rows).  The block of j stacks the chunks (j, 0..n-1) times X,
         ordered (c, I, J) with chunk row I*n^k + J, so that it equals those
-        chunks times X.  Every sum is brought back into [0, p) by
-        reduce_mod, whose bound is |a| <= 2^53 - 2p.  s1 T and s2 T are
-        products below p^2; a chain step sums n products of at most
-        (p-1)^2 (_chain_apply); the two chains' unreduced end sums lie in
-        [0, n (p-1)^2], and so does the absolute value of their difference.
-        A chain with a step exists only when k + l >= 1, where
-        ncols = n^(k+l) >= n and the engine's primes have
-        (ncols + 1) p^2 <= 2^53, so
-        n (p-1)^2 + 2p = n p^2 - (2n - 2) p + n <= (n + 1) p^2 <= 2^53,
-        as p^2 + (2n - 2) p - n >= n - 1 >= 0.  At zero steps a chain is
-        delta_jc times the reduced s T, below p.
+        chunks times X.  Every sum is a matmul_mod (_chain_apply), so the
+        two chains lie in [0, p), and reduce_mod brings the products
+        s1 T, s2 T and the factors, below p^2, and the chains' difference
+        back into [0, p).
         """
         n, k, l = self.n, self.k, self.l
         nk, nl = n ** k, n ** l
@@ -757,14 +726,14 @@ class _HomSystem:
         """G, H and conj(H) at the embedding zeta -> root modulo p.
 
         G[i, a, j, b] = sum_k (H_ik conj(H_ak)) (conj(H_jk) H_bk) is one
-        int64 product of residue pairs: n terms below p^2 each.
+        int64 matmul_mod of residue pairs.
         """
         rp = _root_powers(root, p, self.level)
         E = self.h.exponents
         hm, hc = rp[E], rp[-E % self.level]
         left = (hm[:, None, :] * hc[None, :, :] % p).reshape(-1, self.n)
         right = (hc[:, None, :] * hm[None, :, :] % p).reshape(-1, self.n)
-        g4 = (left @ right.T % p).reshape((self.n,) * 4)
+        g4 = matmul_mod(left, right.T, p).reshape((self.n,) * 4)
         return g4, hm, hc
 
     def chunks_modp(self, p, root):

@@ -43,14 +43,17 @@ from qperm._exact import (
     certified_nullity,
     crt_combine,
     embedding_roots,
+    float_nullity,
     fraction_matrix_inverse,
     is_prime,
+    matmul_mod,
     prime_pool,
     reduce_mod,
     solve_mod_vandermonde,
     unity_root_mod,
     zero_test_primes,
 )
+from qperm.errors import RankAmbiguous
 from qperm.hadamard import f6_two_three, fourier, tao
 from qperm.quantum import (
     _FixSystem,
@@ -254,6 +257,41 @@ def test_eval_vectors_is_exact_for_large_coefficients():
             expect = sum(int(x) * pow(r, e, p)
                          for e, x in enumerate(vectors[v, c])) % p
             assert got[v, c] == expect
+
+
+@pytest.mark.parametrize("dtype,width", [(np.float64, 1), (np.float64, 64),
+                                         (np.int64, 1)])
+def test_matmul_mod_matches_python_products(dtype, width):
+    """Residues at and just below p - 1, at the leading pool prime of a
+    width, summed over at least three partial sums: equal to the
+    Python-integer product modulo p, in the operands' dtype, for a matrix
+    product, a batched one shaped like the G steps of _chain_apply
+    (batch (a, m_t) against (m_t, b_t+1)) and a 1-D right operand like the
+    powers of a root in _eval_vectors_mod."""
+    p = next(prime_pool(1, width))
+    top = (1 << 53) - 3 * p if dtype is np.float64 else (1 << 63) - p
+    step = top // (p - 1) ** 2
+    m = 3 * step + 2
+    rng = np.random.default_rng([width, m])
+    for shape_a, shape_b in [((2, m), (m, 3)),
+                             ((3, 2, 2, m), (2, 3, 2, m, 2)),
+                             ((2, 3, m), (m,))]:
+        a = p - 1 - rng.integers(0, 3, shape_a)
+        b = p - 1 - rng.integers(0, 3, shape_b)
+        expect = a.astype(object) @ b.astype(object) % p
+        got = matmul_mod(a.astype(dtype), b.astype(dtype), p)
+        assert got.dtype == dtype and got.shape == expect.shape
+        assert (got.astype(np.int64) == expect.astype(np.int64)).all(), (
+            shape_a, shape_b)
+
+
+@pytest.mark.parametrize("diag", [[1.0, 5e-9, 0.0], [1.0, 5e-9]],
+                         ids=["nullity-1", "nullity-0"])
+def test_float_nullity_quotes_the_ratio_that_failed(diag):
+    """A kept singular value 5 times the threshold is too close to it,
+    with or without a dropped value, and the message says 5.00."""
+    with pytest.raises(RankAmbiguous, match=r" 5\.00 times the threshold"):
+        float_nullity([np.diag(diag)], len(diag))
 
 
 PERTURBED_CASES = [

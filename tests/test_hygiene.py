@@ -7,8 +7,9 @@ compares floats through tolerance keys, never by rounding, no system of
 contraction for its rows and its residuals, `_exact` has one prime
 loop, one prime pool and one zero test, at the embeddings modulo primes,
 serve every exact check (`hadamard` and `quantum` alike; nothing reduces
-modulo a cyclotomic polynomial), and one float64 reduction,
-`reduce_mod`, serves the float64 residue sums."""
+modulo a cyclotomic polynomial), one float64 reduction, `reduce_mod`,
+serves the float64 residue sums, and one split product, `matmul_mod`,
+serves the sums of residue products of `quantum`."""
 
 import ast
 from pathlib import Path
@@ -140,6 +141,44 @@ def test_float_reductions_use_reduce_mod(module, cls, method):
 def _calls(node, name):
     return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
                and sub.func.id == name for sub in ast.walk(node))
+
+
+def _is_power_53(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 2
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == 53)
+
+
+def _is_group_loop(node):
+    """A for loop over range(start, stop, step) with a computed step, the
+    shape of a loop over groups of a contraction."""
+    it = node.iter if isinstance(node, ast.For) else None
+    return (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+            and it.func.id == "range" and len(it.args) == 3
+            and not isinstance(it.args[2], ast.Constant))
+
+
+def test_one_split_sum_of_residue_products():
+    """_exact.matmul_mod is the one routine that splits a sum of residue
+    products: quantum states no float64 bound (1 << 53 or 2 ** 53) and
+    keeps no loop over bond groups, _exact defines no _matmul_mod, and the
+    Fix rows, the Fix contraction and the Hom chains call matmul_mod."""
+    path = PACKAGE / "quantum.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = [node.lineno for node in ast.walk(tree)
+                 if _is_shift(node, 53) or _is_power_53(node)
+                 or _is_group_loop(node)]
+    assert not offenders, offenders
+    path = PACKAGE / "_exact.py"
+    assert "_matmul_mod" not in {
+        node.name for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, FUNCTION)}
+    fix = _class_methods(tree, "_FixSystem")
+    chain = next(node for node in tree.body
+                 if isinstance(node, FUNCTION) and node.name == "_chain_apply")
+    for node in (fix["_rows"], fix["_blocks"], chain):
+        assert _calls(node, "matmul_mod"), node.name
 
 
 def test_exact_has_one_prime_loop():

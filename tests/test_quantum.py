@@ -12,6 +12,7 @@ from qperm._exact import (
     ModRREF,
     certified_nullity,
     embedding_roots,
+    float_nullity,
     prime_pool,
     zero_test_primes,
 )
@@ -145,16 +146,15 @@ def test_fourier_g_tensor_closed_form(n):
 
 
 def test_g_power_matches_dense_chain():
-    """The chain of k steps with unit start and end factors, applied to
-    the identity, is the dense product of consecutive-pair G factors."""
+    """The complex chain matrix of k steps with unit start and end factors
+    is the dense product of consecutive-pair G factors."""
     h = tao()
     gt = g_tensor(h)
     n = h.n
     ones = np.ones((n, n), dtype=np.complex128)
 
     def chain(k):
-        eye = np.eye(n ** k, dtype=np.complex128)
-        return quantum._chain_apply(gt, k, ones, ones[None], None, eye)[0]
+        return quantum._chain_matrices(gt, k, ones, ones[None], None)[0]
 
     g2 = chain(2)
     for i1 in range(n):
@@ -297,6 +297,20 @@ def test_float_rank_gap_is_comfortable():
     dim, info = fix_dim_direct(h, 2, return_info=True)
     assert dim == 2
     assert info["gap"] >= 10.0
+
+
+def test_float_gap_does_not_depend_on_chunk_order():
+    """The gap is the smallest kept singular value over the threshold, so
+    it is the same, to round-off, when the chunks of float F4's Fix system
+    at k = 2 arrive in reverse order; a ratio to the dropped values, which
+    are round-off, would not be."""
+    system = _FixSystem(magic_from_hadamard(Hadamard(
+        entries=fourier(4).entries)), 2)
+    chunks = list(system.chunks_complex())
+    dim, gap = float_nullity(chunks, system.ncols)
+    assert (dim, gap) == pytest.approx(float_nullity(chunks[::-1],
+                                                     system.ncols), rel=1e-9)
+    assert dim == 4 and gap >= 10.0
 
 
 def _defining_chunks(g, n, k, l, s1, s2, p=None):
