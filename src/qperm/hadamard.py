@@ -189,7 +189,7 @@ def _param_kind(q):
         return "exact", t.numerator, t.denominator
     if isinstance(q, (complex, float)):
         z = complex(q)
-        if abs(abs(z) - 1.0) > 1e-9:
+        if abs(abs(z) - 1.0) > DEFAULT_TOL:
             raise MalformedMatrix("parameter must have modulus 1")
         return "float", z, None
     raise MalformedMatrix(f"unsupported parameter type {type(q)!r}")

@@ -63,43 +63,49 @@ def _check_budget(work, what):
 class MagicUnitary:
     """Square grid of d x d blocks whose rows and columns sum to identity.
 
-    blocks[i, j] is the (i, j) entry as a d x d complex matrix.  When the
-    entries live in (1/den)*Z[zeta_level] the integer coefficient tensor
-    is kept alongside: entry (i, j)[a, b] = sum_t coeffs[i,j,a,b,t] *
-    zeta_level^t / den, which drives the exact checks and exact ranks.
+    A grid has one form, like a Hadamard value.  A float grid is given by
+    its blocks, blocks[i, j] the (i, j) entry as a d x d complex matrix.
+    An exact grid is given by its entries in (1/den)*Z[zeta_level], as the
+    integer coefficient tensor: entry (i, j)[a, b] = sum_t
+    coeffs[i,j,a,b,t] * zeta_level^t / den, which drives the exact checks
+    and exact ranks.  Its blocks are evaluated from the coefficients once,
+    at zeta = e^(2 pi i / level), when first read.
     """
 
-    def __init__(self, blocks, level=None, coeffs=None, den=1, provenance=""):
-        blocks = np.asarray(blocks, dtype=np.complex128)
-        if (blocks.ndim != 4 or blocks.shape[0] != blocks.shape[1]
-                or blocks.shape[2] != blocks.shape[3]):
-            raise ShapeMismatch("blocks must have shape (n, n, d, d)")
-        self.blocks = blocks
-        self.n = blocks.shape[0]
-        self.dim = blocks.shape[2]
+    def __init__(self, blocks=None, level=None, coeffs=None, den=1,
+                 provenance=""):
+        if (blocks is None) == (coeffs is None) or (
+                blocks is not None and (level, den) != (None, 1)):
+            raise MalformedMatrix(
+                "provide exactly one of blocks / (coeffs, level, den)")
         self.provenance = provenance
         if coeffs is None:
-            self.level = None
-            self.coeffs = None
-            self.den = 1
+            self.blocks = np.asarray(blocks, dtype=np.complex128)
+            self.level, self.coeffs, self.den = None, None, 1
+            shape = self.blocks.shape
         else:
             if level is None or level < 1:
                 raise MalformedMatrix("coefficient form needs a level")
-            coeffs = np.asarray(coeffs, dtype=np.int64)
-            expect = (self.n, self.n, self.dim, self.dim, level)
-            if coeffs.shape != expect:
-                raise ShapeMismatch(
-                    f"coefficient tensor must have shape {expect}"
-                )
             if den == 0:
                 raise MalformedMatrix("coefficient form needs den != 0")
-            self.level = int(level)
-            self.coeffs = coeffs
-            self.den = int(den)
+            self.level, self.den = int(level), int(den)
+            self.coeffs = np.asarray(coeffs, dtype=np.int64)
+            if self.coeffs.shape[-1:] != (self.level,):
+                raise ShapeMismatch("coeffs must have shape (n, n, d, d, l)")
+            shape = self.coeffs.shape[:-1]
+        if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3]:
+            raise ShapeMismatch("blocks must have shape (n, n, d, d)")
+        self.n, self.dim = shape[0], shape[2]
 
     @property
     def is_exact(self):
         return self.coeffs is not None
+
+    @cached_property
+    def blocks(self):
+        """An exact grid's blocks: coeffs at zeta = e^(2 pi i / l), / den."""
+        return self.coeffs @ np.exp(
+            2j * np.pi * np.arange(self.level) / self.level) / self.den
 
     @cached_property
     def exactly_magic(self):
@@ -116,31 +122,41 @@ class MagicUnitary:
         return f"MagicUnitary(n={self.n}, d={self.dim}, {form}{tag})"
 
 
+def _hadamard(h, tol=DEFAULT_TOL):
+    """h, once it is a Hadamard value whose rows are orthogonal within tol:
+    each entry point checks here once, and its builders do not check."""
+    if not isinstance(h, Hadamard):
+        raise MalformedMatrix("expected a Hadamard value")
+    if not h.verify(tol):
+        raise NotHadamard("rows are not orthogonal")
+    return h
+
+
 def magic_from_hadamard(h):
     """Magic unitary of row-ratio projections of a Hadamard matrix.
 
     Entry (i, j) is the projection onto xi = H_i/H_j taken componentwise:
-    (P_ij)_{ab} = H_ia * conj(H_ja) * conj(H_ib) * H_jb / n.
+    (P_ij)_{ab} = H_ia * conj(H_ja) * conj(H_ib) * H_jb / n.  The rows of
+    h must be orthogonal at the default tolerance.
     """
-    if not isinstance(h, Hadamard):
-        raise MalformedMatrix("expected a Hadamard value")
-    if not h.verify():
-        raise NotHadamard("rows are not orthogonal")
+    return _magic(_hadamard(h))
+
+
+def _magic(h):
+    """magic_from_hadamard of a checked h: xi xi^* / n, exact for Butson h."""
     n = h.n
-    ent = h.entries
-    xi = ent[:, None, :] / ent[None, :, :]
-    blocks = xi[:, :, :, None] * xi.conj()[:, :, None, :] / n
     prov = f"magic({h.provenance})" if h.provenance else "magic"
     if not h.is_exact:
-        return MagicUnitary(blocks, provenance=prov)
-    lev = h.level
-    E = h.exponents
+        ent = h.entries
+        xi = ent[:, None, :] / ent[None, :, :]
+        return MagicUnitary(xi[:, :, :, None] * xi.conj()[:, :, None, :] / n,
+                            provenance=prov)
+    lev, E = h.level, h.exponents
     q = (E[:, None, :, None] - E[None, :, :, None]
          - E[:, None, None, :] + E[None, :, None, :]) % lev
     coeffs = np.zeros((n, n, n, n, lev), dtype=np.int64)
     np.put_along_axis(coeffs, q[..., None], 1, axis=-1)
-    return MagicUnitary(blocks, level=lev, coeffs=coeffs, den=n,
-                        provenance=prov)
+    return MagicUnitary(level=lev, coeffs=coeffs, den=n, provenance=prov)
 
 
 def permutation_magic(perm):
@@ -153,11 +169,9 @@ def permutation_magic(perm):
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise MalformedMatrix("not a permutation of 0..n-1")
-    blocks = np.zeros((n, n, 1, 1), dtype=np.complex128)
-    for j, i in enumerate(perm):
-        blocks[i, j, 0, 0] = 1.0
-    coeffs = np.rint(blocks.real).astype(np.int64)[..., None]
-    return MagicUnitary(blocks, level=1, coeffs=coeffs, den=1,
+    coeffs = np.zeros((n, n, 1, 1, 1), dtype=np.int64)
+    coeffs[perm, range(n)] = 1
+    return MagicUnitary(level=1, coeffs=coeffs, den=1,
                         provenance=f"perm{tuple(perm)}")
 
 
@@ -217,10 +231,9 @@ def check_magic(u, tol=DEFAULT_TOL):
     vanishes at every embedding of `_exact.zero_test_primes(l, d, bound)`.
     Those primes have d p^2 < 2^53, which keeps the int64 sums of d
     residue products exact.  Q is evaluated once per embedding.  An exact
-    failure reports its residual at zeta = e^(2 pi i / l), from coeffs/den.
+    failure reports its residual at zeta = e^(2 pi i / l), on u.blocks.
     """
-    blocks = u.blocks if not u.is_exact else u.coeffs @ np.exp(
-        2j * np.pi * np.arange(u.level) / u.level) / u.den
+    blocks = u.blocks
     n, d = u.n, u.dim
     proj, herm, rows, cols = _magic_residuals(
         blocks, blocks.conj().swapaxes(2, 3), 1)
@@ -289,11 +302,11 @@ def g_tensor(h):
     route never builds it: modulo p the Hom system forms G from the
     residues of H (_HomSystem._modp_factors).
     """
-    if not isinstance(h, Hadamard):
-        raise MalformedMatrix("expected a Hadamard value")
-    if not h.verify():
-        raise NotHadamard("rows are not orthogonal")
-    ent = h.entries
+    return _g_complex(_hadamard(h).entries)
+
+
+def _g_complex(ent):
+    """g_tensor from the entries of a checked Hadamard matrix."""
     return np.einsum("ik,jk,ak,bk->iajb", ent, ent.conj(), ent.conj(), ent)
 
 
@@ -373,6 +386,8 @@ def _rank_one_factors(q, p):
     agrees with the block on row a0 and column b0; the check u v^T = q is
     exact.  A zero block gives u = v = 0.  A magic_from_hadamard block
     x x^* has q[0, 0] = |x_0|^2 = 1, so u is its column 0 and v its row 0.
+    Every grid the package builds is flat, of blocks of rank at most one,
+    so its trace rows are one scalar chain (_FixSystem._trace_chunks).
     """
     n, d = q.shape[0], q.shape[2]
     blocks = q.reshape(n * n, d, d)
@@ -387,22 +402,6 @@ def _rank_one_factors(q, p):
     if ((u[:, :, None] * v[:, None, :] - blocks) % p).any():
         return None
     return u.reshape(n, n, d), v.reshape(n, n, d)
-
-
-def _block_gram(q, p):
-    """Gram blocks g[i, j, i', j'] = V_ij^T U_i'j' mod p, of shape r x r.
-
-    The factors are Q_ij = U_ij V_ij^T: u and v of _rank_one_factors
-    (r = 1) when every block has rank one modulo p, else U = Q and V = I
-    (r = d), where g[i, j, i', j'] = Q_i'j' is a broadcast view.  Either way
-    Tr(Q_{i_1 j_1} ... Q_{i_k j_k}) = tr(g[1, 2] g[2, 3] ... g[k, 1]) for
-    g[t, t+1] = g[i_t, j_t, i_{t+1}, j_{t+1}].
-    """
-    factors = _rank_one_factors(q, p)
-    if factors is None:
-        return np.broadcast_to(q, q.shape[:2] + q.shape)
-    u, v = factors
-    return (np.einsum("ija,kla->ijkl", v, u) % p)[..., None, None]
 
 
 class _FixSystem:
@@ -427,20 +426,23 @@ class _FixSystem:
     "Idempotent states and the inner linearity property", 2012).  The gate
     is the exact check_magic, once per grid (magic.exactly_magic): without
     it the trace rows may have lower rank, and their lifted basis would
-    never verify.  The trace rows come from one chain of Gram blocks
-    (_block_gram); when every block has rank one they are cyclic products
-    of k scalar Gram entries, n^k rows where the full rows number n^k d^2.
+    never verify.  The trace rows are streamed when the grid is also flat
+    at the embedding, every block Q_ij = u_ij v_ij^T of rank at most one
+    modulo p (_rank_one_factors): then Tr(Q_{i_1 j_1} ... Q_{i_k j_k}) is
+    the cyclic product of the k scalars v_{i_t j_t} . u_{i_t+1 j_t+1}, and
+    there are n^k rows where the full rows number n^k d^2.
 
     The float route keeps the full rows: for xi outside Fix,
     2 Re<xi, (I - T_k) xi> = (1/d) sum_a ||(I - U)(xi (x) e_a)||^2, so the
     small singular values of T_k - I can be about the squares of those of
     the full rows, which would erode the singular-value gap.
 
-    The full rows, complex or of an exact input that is not magic, are
-    products of the blocks formed one site at a time (_rows), one chunk
-    per i_1.  Verification contracts the candidate vectors against the
-    blocks one site at a time over all i_1 at once (_blocks), so the lower
-    bound checks the full system and no row is built.
+    The full rows, complex or of an exact input that is not both magic
+    and flat, are products of the blocks formed one site at a time
+    (_rows), one chunk per i_1.  Verification contracts the candidate
+    vectors against the blocks one site at a time over all i_1 at once
+    (_blocks), so the lower bound checks the full system and no row is
+    built.
     """
 
     def __init__(self, magic, k):
@@ -459,34 +461,35 @@ class _FixSystem:
             self.coeff_l1_bound = None
         self.traced = magic.exactly_magic
 
-    def _trace_chunks(self, q, p):
+    def _trace_chunks(self, u, v, p):
         """Rows Tr(Q_{i_1 j_1} ... Q_{i_k j_k}) - d den^k delta_IJ mod p.
 
-        Q = den * P mod p.  The chunk of i_1 holds the rows I = (i_1, I')
-        in the order of I'.  The chain W[j_1, i_2, j_2, .., i_t, j_t] =
-        g[1, 2] ... g[t-1, t] adds one site per step, a sum of r products
-        below p^2; the trace against the closing g[k, 1] sums r^2 reduced
-        products.
+        Q = den * P mod p has blocks Q_ij = u_ij v_ij^T (_rank_one_factors),
+        so with g[i, j, i', j'] = v_ij . u_i'j' the trace is the cyclic
+        product g[1, 2] g[2, 3] ... g[k, 1], g[t, t+1] = g[i_t, j_t, i_t+1,
+        j_t+1].  The chunk of i_1 holds the rows I = (i_1, I') in the order
+        of I'.  The chain W[j_1, i_2, j_2, .., i_t, j_t] = g[1, 2] ...
+        g[t-1, t] adds one site per step, one product below p^2 reduced
+        modulo p, and so does the closing factor g[k, 1].
         """
-        n, k = self.n, self.k
-        g = _block_gram(q, p)
-        corr = self.d * pow(self.magic.den, k, p)
+        n, k, d = self.n, self.k, self.d
+        g = matmul_mod(v.reshape(-1, d), u.reshape(-1, d).T, p).reshape(
+            (n,) * 4)
+        corr = d * pow(self.magic.den, k, p)
         nsuf = n ** (k - 1)
         suf = np.arange(nsuf)
         # (j_1, i_2, j_2, .., i_k, j_k) -> (i_2..i_k, j_1..j_k)
         order = [*range(1, 2 * k - 1, 2), *range(0, 2 * k - 1, 2)]
         for i1 in range(n):
-            if k == 1:
-                rows = np.einsum("jjaa->j", g[i1, :, i1])
+            if k == 1:  # a copy: np.diagonal is a read-only view
+                rows = np.diagonal(g[i1, :, i1]).copy()
             else:
                 W = g[i1]
                 for _ in range(k - 2):
-                    W = np.einsum("...ijab,ijklbc->...ijklac", W, g) % p
-                # close[j_1, .., i_k, j_k, a, b] = g[i_k, j_k, i_1, j_1][b, a]
-                close = g[:, :, i1].transpose(2, 0, 1, 4, 3)
-                close = close.reshape((n,) + (1,) * (2 * k - 4)
-                                      + close.shape[1:])
-                rows = (W * close % p).sum(axis=(-2, -1))
+                    W = W[..., None, None] * g % p
+                # close[j_1, .., i_k, j_k] = g[i_k, j_k, i_1, j_1]
+                close = np.moveaxis(g[:, :, i1], -1, 0)
+                rows = W * close.reshape(n, *(1,) * (2 * k - 4), n, n) % p
             rows = rows.transpose(order).reshape(nsuf, self.ncols)
             rows[suf, i1 * nsuf + suf] -= corr
             yield rows % p
@@ -567,8 +570,9 @@ class _FixSystem:
 
     def chunks_modp(self, p, root):
         q = self.magic.modp(p, root)
-        if self.traced:
-            return self._trace_chunks(q, p)
+        factors = _rank_one_factors(q, p) if self.traced else None
+        if factors is not None:
+            return self._trace_chunks(*factors, p)
         return self._rows(q.astype(np.float64),
                           pow(self.magic.den, self.k, p), p)
 
@@ -744,7 +748,7 @@ class _HomSystem:
     def chunks_complex(self):
         # n^2 C_jc against the defining divisors n^(k+1), n^(l+1)
         hm = self.h.entries
-        return self._rows(g_tensor(self.h), hm, hm.conj(),
+        return self._rows(_g_complex(hm), hm, hm.conj(),
                           self.n ** (1 - self.k), self.n ** (1 - self.l), None)
 
     def residuals_modp(self, p, root, X):
@@ -761,11 +765,12 @@ class _HomSystem:
                             pow(self.n, self.s2_pow, p), p)
 
 
-def _as_magic(obj):
+def _as_magic(obj, tol):
+    """obj, or the magic unitary of a Hadamard obj checked at tol."""
     if isinstance(obj, MagicUnitary):
         return obj
     if isinstance(obj, Hadamard):
-        return magic_from_hadamard(obj)
+        return _magic(_hadamard(obj, tol))
     raise MalformedMatrix("expected a MagicUnitary or Hadamard value")
 
 
@@ -777,7 +782,7 @@ def fix_dim_direct(p, k, tol=DEFAULT_TOL, return_info=False):
     get a singular-value rank with a mandatory gap at least 10x the
     tolerance, raising RankAmbiguous otherwise.
     """
-    magic = _as_magic(p)
+    magic = _as_magic(p, tol)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
@@ -805,10 +810,7 @@ def hom_dim_via_g(h, k, l, tol=DEFAULT_TOL, return_info=False):
     Exact certified rank on Butson inputs; otherwise a singular-value
     rank whose gap must clear 10x the tolerance (RankAmbiguous if not).
     """
-    if not isinstance(h, Hadamard):
-        raise MalformedMatrix("expected a Hadamard value")
-    if not h.verify(tol):
-        raise NotHadamard("rows are not orthogonal")
+    _hadamard(h, tol)
     if k < 0 or l < 0:
         raise ValueError("k and l must be nonnegative")
     dim, info = _nullity(_HomSystem(h, k, l), tol)
@@ -842,15 +844,12 @@ def invariants(h, kmax, method="both", tol=DEFAULT_TOL):
     """
     if method not in ("g_tensor", "direct", "both"):
         raise ValueError("method must be g_tensor, direct or both")
-    if not isinstance(h, Hadamard):
-        raise MalformedMatrix("expected a Hadamard value")
+    _hadamard(h, tol)
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     need_direct = method in ("direct", "both")
     need_g = method in ("g_tensor", "both")
-    magic = magic_from_hadamard(h) if need_direct else None
-    if need_g and not h.verify(tol):
-        raise NotHadamard("rows are not orthogonal")
+    magic = _magic(h) if need_direct else None
     tag = {"direct": "direct-fix", "g_tensor": "g-tensor",
            "both": "both-agree"}[method]
     values = [1]
@@ -883,7 +882,7 @@ def image_commutative(h, tol=DEFAULT_TOL):
     by 2 d L^2 (L as in check_magic), and every embedding of
     `_exact.zero_test_primes(l, d, 2 d L^2)` decides it.
     """
-    magic = _as_magic(h)
+    magic = _as_magic(h, tol)
     n, d = magic.n, magic.dim
     if magic.is_exact:
         bound = 2 * d * _entry_l1(magic) ** 2

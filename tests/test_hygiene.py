@@ -4,7 +4,8 @@ package defines is referenced somewhere in the project, no module calls
 the numpy set routines whose first call imports numpy.ma, `hadamard`
 compares floats through tolerance keys, never by rounding, no system of
 `quantum` rebuilds its rows to verify, each system of `quantum` has one
-contraction for its rows and its residuals, `_exact` has one prime
+contraction for its rows and its residuals and the Fix trace rows are one
+scalar chain (no Gram-block chain `_block_gram`), `_exact` has one prime
 loop, one prime pool and one zero test, at the embeddings modulo primes,
 serve every exact check (`hadamard` and `quantum` alike; nothing reduces
 modulo a cyclotomic polynomial), one float64 reduction, `reduce_mod`,
@@ -99,8 +100,9 @@ def test_system_has_one_contraction(cls, calls):
     """A system's streams form its rows as chain or block products (_rows;
     the Fix stream also _trace_chunks for exact magic inputs) and never
     contract against an identity: only its residuals call the contraction
-    _blocks.  No _chunks is left, and quantum defines no GTensor class and
-    no g_power."""
+    _blocks.  No _chunks is left, and quantum defines no GTensor class, no
+    g_power and no _block_gram: the trace rows are one scalar chain over
+    the rank-one factors of the blocks."""
     path = PACKAGE / "quantum.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     methods = _class_methods(tree, cls)
@@ -112,7 +114,7 @@ def test_system_has_one_contraction(cls, calls):
         assert ("_blocks" in called) == (name == "residuals_modp"), name
     assert not {node.name for node in tree.body
                 if isinstance(node, (ast.ClassDef, *FUNCTION))} & {
-        "GTensor", "g_power"}
+        "GTensor", "g_power", "_block_gram"}
 
 
 @pytest.mark.parametrize("module,cls,method", [

@@ -65,12 +65,11 @@ def test_float_magic_residuals_are_tiny():
 
 
 def test_exact_magic_check_reads_the_coefficients():
-    # the float blocks stay exact; only the coefficient tensor is off
+    # one coefficient of one entry is off
     u = magic_from_hadamard(tao())
     coeffs = u.coeffs.copy()
     coeffs[0, 1, 2, 3, 0] += 1
-    rep = check_magic(MagicUnitary(u.blocks, level=u.level, coeffs=coeffs,
-                                   den=u.den))
+    rep = check_magic(MagicUnitary(level=u.level, coeffs=coeffs, den=u.den))
     assert rep.exact
     assert not rep.ok
     # every identity the exact check rejects reports a visible residual
@@ -99,7 +98,7 @@ def test_exact_magic_check_rejects_a_defect_at_one_embedding():
     assert values[0] == 0 and values.count(0) == 1
     coeffs = u.coeffs.copy()
     coeffs[0, 0, 0, 0] += defect
-    bad = MagicUnitary(u.blocks, level=5, coeffs=coeffs, den=u.den)
+    bad = MagicUnitary(level=5, coeffs=coeffs, den=u.den)
     # the norm bound d L^2 + den L stays below p0, so p0 alone decides and
     # its other embeddings must reject the defect
     L = int(np.abs(coeffs).sum(axis=-1).max())
@@ -265,6 +264,60 @@ def test_float_and_exact_routes_agree_on_haagerup():
     assert exact == floaty
 
 
+def _principal_minors(m):
+    """Every principal minor of the integer matrix m, by cofactor
+    expansion in Python integers."""
+    def det(a):
+        return 1 if not a else sum(
+            (-1) ** j * a[0][j] * det([row[:j] + row[j + 1:] for row in a[1:]])
+            for j in range(len(a)))
+    for r in range(1, len(m) + 1):
+        for idx in itertools.combinations(range(len(m)), r):
+            yield det([[m[i][j] for j in idx] for i in idx])
+
+
+def _hausdorff_ok(c, n):
+    """Whether c_0..c_K pass the Hausdorff moment conditions on [0, n]:
+    the Hankel matrices of (c_j), of (c_j+1) and of (n c_j - c_j+1), as
+    large as the series fills, are positive semidefinite, which for a
+    symmetric integer matrix means that every principal minor is >= 0."""
+    seqs = (list(c), [c[j + 1] for j in range(len(c) - 1)],
+            [n * c[j] - c[j + 1] for j in range(len(c) - 1)])
+    return all(
+        minor >= 0 for s in seqs
+        for minor in _principal_minors(
+            [[s[i + j] for j in range((len(s) + 1) // 2)]
+             for i in range((len(s) + 1) // 2)]))
+
+
+HAUSDORFF_SERIES = [
+    ("F2", fourier(2), 4), ("F3", fourier(3), 4), ("F4", fourier(4), 4),
+    ("F2xF2", tensor(fourier(2), fourier(2)), 4),
+    ("f4q(1/8)", f4q(Fraction(1, 8)), 4), ("f4q(1/5)", f4q(Fraction(1, 5)), 4),
+    ("F5", fourier(5), 3), ("tao", tao(), 3),
+    ("haagerup(1/4)", haagerup(Fraction(1, 4)), 3),
+]
+
+
+@pytest.mark.parametrize("h,kmax", [case[1:] for case in HAUSDORFF_SERIES],
+                         ids=[case[0] for case in HAUSDORFF_SERIES])
+def test_certified_series_are_moments_on_zero_to_n(h, kmax):
+    """c_k is the k-th moment of the law of the main character
+    chi = sum_i u_ii, which lies in [0, n], so every certified series
+    passes the Hausdorff conditions on [0, n].  The check reads only the
+    integers c_k, so it is independent of the engine that certified them."""
+    assert _hausdorff_ok(invariants(h, kmax, "direct").values, h.n)
+
+
+def test_hausdorff_check_rejects_series_off_zero_to_n():
+    """(1, 2, 3) has the Hankel minor 1 * 3 - 2^2 = -1; the point mass at
+    5, (1, 5, 25), is a moment sequence but not on [0, 4]; the point mass
+    at 4 is one."""
+    assert not _hausdorff_ok((1, 2, 3), 4)
+    assert not _hausdorff_ok((1, 5, 25), 4)
+    assert _hausdorff_ok((1, 4, 16, 64, 256), 4)
+
+
 def test_poincare_series_is_rational_lift():
     series = invariants(fourier(3), 3, method="direct")
     coeffs = poincare_series(series)
@@ -388,16 +441,16 @@ def test_g_modp_from_residue_pairs_equals_root_counts(h):
 
 
 def test_only_the_complex_stream_builds_the_g_tensor(monkeypatch):
-    """Exact Hom systems read G from the residues of H; g_tensor is
-    called once, by chunks_complex."""
+    """Exact Hom systems read G from the residues of H; the complex G is
+    built once, by chunks_complex, from the entries of the checked H."""
     calls = []
-    build = quantum.g_tensor
+    build = quantum._g_complex
 
-    def counted(h):
-        calls.append(h)
-        return build(h)
+    def counted(ent):
+        calls.append(ent)
+        return build(ent)
 
-    monkeypatch.setattr(quantum, "g_tensor", counted)
+    monkeypatch.setattr(quantum, "_g_complex", counted)
     assert hom_dim_via_g(fourier(3), 0, 2) == 3
     assert hom_dim_via_g(tao(), 1, 1) == 2
     assert invariants(fourier(3), 2, method="g_tensor").values == (1, 1, 3)
@@ -552,7 +605,7 @@ FIX_RESIDUAL_MAGICS = [(name, magic_from_hadamard(h)) for name, h in [
 # float64 sum over its whole bond would pass 2^53, so a site must split the
 # bond into groups.
 FIX_RESIDUAL_MAGICS.append(("dense-grid", MagicUnitary(
-    np.zeros((2, 2, 16, 16)), level=1,
+    level=1,
     coeffs=np.random.default_rng(4).integers(-3, 0, (2, 2, 16, 16, 1)))))
 FIX_RESIDUAL_CASES = [
     (u, k, name) for name, u in FIX_RESIDUAL_MAGICS for k in (1, 2, 3)
@@ -640,18 +693,77 @@ def test_fix_float_rows_equal_built_chunks(u, k):
 def test_magic_unitary_rejects_a_zero_denominator():
     """den = 0 is refused; a negative den is a valid scale of the grid."""
     u = permutation_magic([1, 0, 2])
-    with pytest.raises(MalformedMatrix):
-        MagicUnitary(u.blocks, level=1, coeffs=0 * u.coeffs, den=0)
-    neg = MagicUnitary(u.blocks, level=1, coeffs=-u.coeffs, den=-1)
+    with pytest.raises(MalformedMatrix, match="den != 0"):
+        MagicUnitary(level=1, coeffs=0 * u.coeffs, den=0)
+    neg = MagicUnitary(level=1, coeffs=-u.coeffs, den=-1)
     assert check_magic(neg).ok
     assert fix_dim_direct(neg, 1) == 2
+
+
+def test_magic_unitary_takes_exactly_one_form():
+    """A grid is given by its blocks or by (coeffs, level, den), never by
+    both and never by neither."""
+    u = permutation_magic([1, 0, 2])
+    for kwargs in ({}, {"level": 1, "den": 1},
+                   {"blocks": u.blocks, "coeffs": u.coeffs},
+                   {"blocks": u.blocks, "level": 1, "coeffs": u.coeffs},
+                   {"blocks": u.blocks, "level": 1}):
+        with pytest.raises(MalformedMatrix, match="exactly one"):
+            MagicUnitary(**kwargs)
+
+
+@pytest.mark.parametrize("u,grid", [
+    (magic_from_hadamard(tao()),
+     magic_from_hadamard(Hadamard(entries=tao().entries)).blocks),
+    (permutation_magic([2, 0, 3, 1]), np.eye(4)[:, [2, 0, 3, 1], None, None]),
+], ids=["tao", "perm"])
+def test_exact_blocks_are_the_evaluated_coefficients(u, grid):
+    """An exact grid's blocks are its coefficients at e^(2 pi i / l) over
+    den, bit for bit, computed once, and they are the grid: the float
+    projections xi xi^* / n for tao, the permutation matrix for perm."""
+    zeta = np.exp(2j * np.pi * np.arange(u.level) / u.level)
+    assert u.blocks.dtype == np.complex128
+    assert np.array_equal(u.blocks, u.coeffs @ zeta / u.den)
+    assert u.blocks is u.blocks
+    assert np.abs(u.blocks - grid).max() < 1e-12
+
+
+def test_entry_points_check_the_hadamard_once_at_their_tol(monkeypatch):
+    """A float F4 with entry (1, 1) rotated by 1e-8 rad is Hadamard at
+    tol = 1e-6 and not at the default tol.  Every entry point called at
+    1e-6 accepts it, and each call checks its input once."""
+    ent = fourier(4).entries.copy()
+    ent[1, 1] *= np.exp(1e-8j)
+    h = Hadamard(entries=ent)
+    assert h.verify(1e-6) and not h.verify()
+    calls = []
+    check = Hadamard.failing_pair
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return check(self, *args, **kwargs)
+
+    monkeypatch.setattr(Hadamard, "failing_pair", counted)
+    for run, want in [
+        (lambda: invariants(h, 3, "both", tol=1e-6).values, (1, 1, 4, 16)),
+        (lambda: hom_dim_via_g(h, 0, 2, tol=1e-6), 4),
+        (lambda: fix_dim_direct(h, 2, tol=1e-6), 4),
+        (lambda: image_commutative(h, tol=1e-6), True),
+        (lambda: invariants(fourier(4), 3, "both").values, (1, 1, 4, 16)),
+    ]:
+        calls.clear()
+        assert run() == want
+        assert len(calls) == 1
+    with pytest.raises(NotHadamard):
+        magic_from_hadamard(h)
+    with pytest.raises(NotHadamard):
+        g_tensor(h)
 
 
 def _doubled(u):
     """u with den and every coefficient doubled: Q = den * P doubles, so a
     rank-one block no longer has Q[0, 0] = 1."""
-    return MagicUnitary(u.blocks, level=u.level, coeffs=2 * u.coeffs,
-                        den=2 * u.den)
+    return MagicUnitary(level=u.level, coeffs=2 * u.coeffs, den=2 * u.den)
 
 
 TRACE_FORM_MAGICS = [(h.provenance, magic_from_hadamard(h)) for h in (
@@ -664,22 +776,20 @@ TRACE_FORM_MAGICS = [(h.provenance, magic_from_hadamard(h)) for h in (
 
 @pytest.mark.parametrize("u", [u for _, u in TRACE_FORM_MAGICS],
                          ids=[name for name, _ in TRACE_FORM_MAGICS])
-def test_trace_rows_closed_form_equals_traced_chain(monkeypatch, u):
+def test_trace_rows_closed_form_equals_traced_chain(u):
     """At k = 3 the rank-one closed form, cyclic products of scalar Gram
-    entries, equals the chain of the d x d blocks traced, entry by entry
-    at every embedding."""
+    entries, equals the full Fix rows built here from the chain of the
+    d x d blocks and traced over a = b, entry by entry at every
+    embedding."""
     system = _FixSystem(u, 3)
     assert system.traced
     p = _first_prime(system)
-    roots = embedding_roots(p, system.level)
-    closed = []
-    for root in roots:
-        gram = quantum._block_gram(system.magic.modp(p, root), p)
-        assert gram.shape[-2:] == (1, 1)
-        closed.append(np.vstack(list(system.chunks_modp(p, root))))
-    monkeypatch.setattr(quantum, "_rank_one_factors", lambda q, p: None)
-    for root, rows in zip(roots, closed):
-        chain = np.vstack(list(system.chunks_modp(p, root)))
+    for root in embedding_roots(p, system.level):
+        assert quantum._rank_one_factors(u.modp(p, root), p) is not None
+        rows = np.vstack(list(system.chunks_modp(p, root)))
+        full = _full_fix_modp(u, 3, p, root)
+        chain = np.trace(full, axis1=1, axis2=2) % p
+        assert rows.dtype == np.int64
         assert chain.shape == rows.shape == (system.ncols, system.ncols)
         assert (chain == rows).all(), root
 
@@ -691,20 +801,18 @@ def _rank_two_magic():
     a = magic_from_hadamard(fourier(4))
     b = magic_from_hadamard(tensor(fourier(2), fourier(2)))
     assert (a.den, a.level, b.den, b.level) == (4, 4, 4, 2)
-    blocks = np.zeros((4, 4, 8, 8), dtype=np.complex128)
-    blocks[:, :, :4, :4] = a.blocks
-    blocks[:, :, 4:, 4:] = b.blocks
     coeffs = np.zeros((4, 4, 8, 8, 4), dtype=np.int64)
     coeffs[:, :, :4, :4] = a.coeffs
     coeffs[:, :, 4:, 4:, ::2] = b.coeffs
-    return MagicUnitary(blocks, level=4, coeffs=coeffs, den=4,
+    return MagicUnitary(level=4, coeffs=coeffs, den=4,
                         provenance="magic(F4)+magic(F2xF2)")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_rank_two_magic_takes_the_traced_chain(k):
-    """Blocks of rank two take the chain fallback, n^(k-1) rows per
-    chunk, and certify what the full rows certify."""
+def test_rank_two_magic_streams_the_full_rows(k):
+    """Blocks of rank two are not flat: the grid is exactly magic, yet it
+    streams the full rows, n^(k-1) d^2 rows per chunk, and certifies what
+    the float route finds on the same blocks."""
     u = _rank_two_magic()
     assert check_magic(u).ok
     system = _FixSystem(u, k)
@@ -713,13 +821,10 @@ def test_rank_two_magic_takes_the_traced_chain(k):
     for root in embedding_roots(p, u.level):
         assert quantum._rank_one_factors(u.modp(p, root), p) is None
         chunks = list(system.chunks_modp(p, root))
-        assert [c.shape for c in chunks] == [(4 ** (k - 1), 4 ** k)] * 4
-    full = _FixSystem(u, k)
-    full.traced = False
-    got, want = certified_nullity(system), certified_nullity(full)
-    assert (got.dim, got.tags) == (want.dim, want.tags)
-    assert all((x == y).all() for x, y in zip(got.basis, want.basis))
-    assert len(got.basis) == got.dim >= 1
+        assert [c.shape for c in chunks] == [(4 ** (k - 1) * 64, 4 ** k)] * 4
+    cert = certified_nullity(system)
+    assert len(cert.basis) == cert.dim >= 1
+    assert cert.dim == fix_dim_direct(MagicUnitary(u.blocks), k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -730,7 +835,7 @@ def test_non_magic_exact_input_keeps_the_full_rows(k):
     u = magic_from_hadamard(fourier(5))
     coeffs = u.coeffs.copy()
     coeffs[0, 1, 2, 3, 0] += 1
-    bad = MagicUnitary(u.blocks, level=5, coeffs=coeffs, den=u.den)
+    bad = MagicUnitary(level=5, coeffs=coeffs, den=u.den)
     system = _FixSystem(bad, k)
     assert not system.traced
     p = _first_prime(system)
